@@ -35,7 +35,6 @@ from .ingest import (
     write_features,
     write_populations,
 )
-from .linalg import EigenDecomposition, JacobiConvergenceError, jacobi_eigh
 from .pipeline import (
     AssociationCell,
     AssociationReport,
@@ -63,12 +62,10 @@ __all__ = [
     "BalanceDiagnostic",
     "BaselineResult",
     "ClusterAssignment",
-    "EigenDecomposition",
     "EpicurveMatrix",
     "FeatureTable",
     "Fixture",
     "IngestError",
-    "JacobiConvergenceError",
     "KMeansConfig",
     "PREPROCESS_KINDS",
     "SpectralConfig",
@@ -81,7 +78,6 @@ __all__ = [
     "eigengap_suggest_k",
     "feature_association",
     "generate_fixture",
-    "jacobi_eigh",
     "kmeans",
     "laplacian",
     "load_epicurves",

@@ -85,8 +85,8 @@ def best_permutation_dissimilarity(a, b, k: int, metric: str = "squared") -> Ali
     a, b = _check_labels(a, b, k)
     if k > MAX_ALIGN_K:
         raise ValueError(
-            f"k={k} would enumerate {k}! permutations; beyond k={MAX_ALIGN_K} "
-            "use the 'mismatch' metric with Hungarian matching instead"
+            f"k={k} is unsupported: alignment enumerates all k! permutations "
+            f"and is limited to k <= {MAX_ALIGN_K}"
         )
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")

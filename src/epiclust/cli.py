@@ -72,12 +72,30 @@ class RunConfig:
     heatmap: bool
 
 
+# keys a JSON config file may set, at the top level and in its two sections
+CONFIG_KEYS = {
+    "": {"algo", "balance_threshold", "baseline_mode", "k", "kmeans", "metric", "out",
+         "prep", "prep_scope", "seed", "spectral", "trials", "window_len"},
+    "kmeans": {"epsilon", "max_iters", "restarts"},
+    "spectral": {"laplacian", "sigma"},
+}
+
+
 def _load_config_file(path):
     if path is None:
         return {}
     data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise IngestError(f"{path}: config must be a JSON object")
+    for section, known in CONFIG_KEYS.items():
+        table = data.get(section, {}) if section else data
+        where = f"config section {section!r}" if section else "config"
+        if not isinstance(table, dict):
+            raise IngestError(f"{path}: {where} must be a JSON object")
+        unknown = sorted(set(table) - known)
+        if unknown:
+            raise IngestError(
+                f"{path}: unknown {where} key {', '.join(map(repr, unknown))}; "
+                f"expected one of {', '.join(sorted(known))}"
+            )
     return data
 
 

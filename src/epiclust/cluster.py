@@ -4,9 +4,9 @@ Three entry points:
 
   kmeans                  Lloyd iterations with k-means++ seeding and
                           independent restarts; fully deterministic per seed.
-  spectral_cluster        Gaussian affinity -> graph Laplacian -> Jacobi
-                          eigendecomposition -> k-means on the leading
-                          eigenvector rows.
+  spectral_cluster        Gaussian affinity -> graph Laplacian -> LAPACK
+                          symmetric eigendecomposition -> k-means on the
+                          leading eigenvector rows.
   cluster_scalar_feature  1-D k-means with labels renumbered so cluster 0
                           holds the smallest values.
 
@@ -20,10 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import check_symmetric, jacobi_eigh
-
 ALGORITHMS = ("kmeans", "spectral")
 LAPLACIAN_KINDS = ("unnormalized", "symmetric_normalized")
+# Size of the (rows, n, d) difference block rbf_affinity squares at once; a
+# block of at least one row is always taken.
+AFFINITY_BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,9 @@ def kmeans(points, cfg: KMeansConfig) -> ClusterAssignment:
 def rbf_affinity(points, sigma: float | str = "median") -> np.ndarray:
     """Gaussian similarity matrix w_ij = exp(-|x_i - x_j|^2 / (2 sigma^2)).
 
+    Squared distances are summed from coordinate differences, a block of rows
+    at a time, so the temporary stays within ``AFFINITY_BLOCK_BYTES`` instead
+    of growing as n^2 * d, and coincident points get a distance of exactly 0.
     The diagonal is forced to zero (no self-loops). ``sigma="median"`` uses
     the median of the non-zero pairwise distances, falling back to 1.0 when
     all points coincide.
@@ -184,9 +188,13 @@ def rbf_affinity(points, sigma: float | str = "median") -> np.ndarray:
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"affinity needs at least 2 points, got {n}")
-    diff = points[:, None, :] - points[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
-    d2 = np.maximum((d2 + d2.T) / 2.0, 0.0)
+    rows = max(1, AFFINITY_BLOCK_BYTES // (8 * n * max(1, points.shape[1])))
+    d2 = np.empty((n, n))
+    # (x_i - x_j)^2 == (x_j - x_i)^2 in floating point, so d2 comes out
+    # exactly symmetric and non-negative without a symmetrising pass
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        d2[i:j] = ((points[i:j, None, :] - points[None, :, :]) ** 2).sum(axis=2)
     if sigma == "median":
         dists = np.sqrt(d2[np.triu_indices(n, k=1)])
         nonzero = dists[dists > 0]
@@ -196,6 +204,18 @@ def rbf_affinity(points, sigma: float | str = "median") -> np.ndarray:
     w = np.exp(-d2 / (2.0 * float(sigma) ** 2))
     np.fill_diagonal(w, 0.0)
     return w
+
+
+def check_symmetric(a, tol: float = 1e-12) -> np.ndarray:
+    """Return ``a`` as a float array, raising if it is not square symmetric."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+    gap = float(np.abs(a - a.T).max(initial=0.0))
+    if gap > tol * scale:
+        raise ValueError(f"matrix is not symmetric: max |a - a.T| = {gap:.3e}")
+    return a
 
 
 def laplacian(w, kind: str = "unnormalized") -> np.ndarray:
@@ -246,18 +266,18 @@ def eigengap_suggest_k(eigenvalues, k_max: int) -> int:
 def spectral_from_affinity(w, cfg: SpectralConfig) -> ClusterAssignment:
     """Spectral clustering from a ready-made affinity matrix.
 
-    Laplacian -> Jacobi eigendecomposition -> rows of the first k eigenvector
-    columns -> k-means. The eigengap suggestion is attached as metadata; the
-    configured k stays authoritative.
+    Laplacian -> ascending eigendecomposition (``numpy.linalg.eigh``) -> rows
+    of the first k eigenvector columns -> k-means. The eigengap suggestion is
+    attached as metadata; the configured k stays authoritative.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds the {n} observations")
     lap = laplacian(w, cfg.laplacian)
-    dec = jacobi_eigh(lap)
-    embedding = dec.eigenvectors[:, : cfg.k]
-    suggested = eigengap_suggest_k(dec.eigenvalues, k_max=min(n - 1, 8))
+    eigenvalues, eigenvectors = np.linalg.eigh(lap)
+    embedding = eigenvectors[:, : cfg.k]
+    suggested = eigengap_suggest_k(eigenvalues, k_max=min(n - 1, 8))
     km = kmeans(embedding, replace(cfg.kmeans, k=cfg.k))
     return ClusterAssignment(
         km.labels,

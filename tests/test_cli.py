@@ -161,6 +161,26 @@ def test_config_file_overridden_by_flags(fixture_dir, tmp_path):
     assert report["trials"] == 9  # flag wins over config
 
 
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"windowlen": 7}, "config key 'windowlen'"),
+        ({"kmeans": {"restarts": 3, "seed": 1}}, "config section 'kmeans' key 'seed'"),
+        ({"spectral": {"sigma": 2.0, "lap": "unnormalized"}}, "config section 'spectral' key 'lap'"),
+    ],
+    ids=["top_level", "kmeans", "spectral"],
+)
+def test_unknown_config_key_exits_2(fixture_dir, tmp_path, capsys, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = run(["stability", "--input", fixture_dir / "epicurves.csv",
+                "--config", cfg, "--out", out])
+    assert code == 2
+    assert f"unknown {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_matrix_csv_roundtrip(tmp_path):
     from epiclust.cli import write_matrix_csv
 

@@ -1,6 +1,8 @@
-"""k-means, affinity/Laplacian construction, eigengap, spectral and scalar clustering."""
+"""k-means, affinity/Laplacian construction, eigensolver contract, eigengap,
+spectral and scalar clustering."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from epiclust.align import best_permutation_dissimilarity
 from epiclust.cluster import (
     KMeansConfig,
     SpectralConfig,
+    check_symmetric,
     cluster_scalar_feature,
     eigengap_suggest_k,
     kmeans,
@@ -17,7 +20,6 @@ from epiclust.cluster import (
     spectral_cluster,
     spectral_from_affinity,
 )
-from epiclust.linalg import jacobi_eigh
 
 
 def blocks_affinity(sizes, within=1.0):
@@ -124,10 +126,54 @@ def test_rbf_errors():
         rbf_affinity(np.zeros((3, 1)), sigma=-1.0)
 
 
+def one_shot_affinity(points, sigma):
+    """rbf_affinity as a single (n, n, d) broadcast: the unblocked reference."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    diff = points[:, None, :] - points[None, :, :]
+    d2 = (diff * diff).sum(axis=2)
+    d2 = np.maximum((d2 + d2.T) / 2.0, 0.0)
+    if sigma == "median":
+        dists = np.sqrt(d2[np.triu_indices(n, k=1)])
+        nonzero = dists[dists > 0]
+        sigma = float(np.median(nonzero)) if nonzero.size else 1.0
+    w = np.exp(-d2 / (2.0 * float(sigma) ** 2))
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def test_rbf_blocked_matches_one_shot_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 12))
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)
+        if trial % 3 == 0:  # duplicated rows
+            pts[rng.integers(n, size=n // 2)] = pts[rng.integers(n)]
+        if trial % 4 == 0:  # rows a constant-row zscore maps to zeros
+            pts[rng.integers(n, size=max(2, n // 3))] = 0.0
+        # a budget of a few rows per block, rarely a divisor of n
+        rows = int(rng.integers(1, n + 1))
+        monkeypatch.setattr("epiclust.cluster.AFFINITY_BLOCK_BYTES", 8 * n * d * rows + 7)
+        for sigma in ("median", 0.5):
+            assert np.array_equal(rbf_affinity(pts, sigma), one_shot_affinity(pts, sigma))
+
+
+def test_rbf_county_scale_memory_bounded():
+    pts = np.random.default_rng(0).standard_normal((3142, 30))
+    tracemalloc.start()
+    try:
+        rbf_affinity(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the unblocked (n, n, d) difference tensor alone is 2.2 GiB here
+    assert peak < 512 * 2**20
+
+
 def test_laplacian_two_node_path():
     lap = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert lap.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
-    assert np.allclose(jacobi_eigh(lap).eigenvalues, [0.0, 2.0], atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(lap), [0.0, 2.0], atol=1e-12)
 
 
 def test_laplacian_rows_sum_to_zero():
@@ -139,7 +185,7 @@ def test_laplacian_rows_sum_to_zero():
 
 def test_laplacian_disconnected_pairs_fiedler_zero():
     lap = laplacian(blocks_affinity([2, 2]))
-    evs = jacobi_eigh(lap).eigenvalues
+    evs = np.linalg.eigvalsh(lap)
     assert (evs < 1e-9).sum() == 2  # zero multiplicity counts components
     assert abs(evs[1]) < 1e-9  # Fiedler value is 0
 
@@ -149,7 +195,7 @@ def test_laplacian_component_count_matches_zero_multiplicity():
     for sizes in ([3, 4], [2, 2, 5], [1, 6, 3]):
         w = blocks_affinity(sizes, within=float(rng.uniform(0.5, 2.0)))
         for kind in ("unnormalized", "symmetric_normalized"):
-            evs = jacobi_eigh(laplacian(w, kind)).eigenvalues
+            evs = np.linalg.eigvalsh(laplacian(w, kind))
             assert (np.abs(evs) < 1e-9).sum() == len(sizes)
 
 
@@ -158,7 +204,7 @@ def test_laplacian_normalized_isolated_vertex():
     w[0, 1] = w[1, 0] = 1.0  # vertex 2 isolated
     lap = laplacian(w, "symmetric_normalized")
     assert lap[2, 2] == 0.0
-    evs = jacobi_eigh(lap).eigenvalues
+    evs = np.linalg.eigvalsh(lap)
     assert (np.abs(evs) < 1e-9).sum() == 2
 
 
@@ -167,6 +213,55 @@ def test_laplacian_errors():
         laplacian(np.array([[0.0, -0.5], [-0.5, 0.0]]))
     with pytest.raises(ValueError, match="zero diagonal"):
         laplacian(np.array([[1.0, 0.2], [0.2, 0.0]]))
+
+
+# --- eigensolver contract the spectral path relies on -------------------------
+
+
+def test_check_symmetric_rejects_non_symmetric():
+    with pytest.raises(ValueError, match="not symmetric"):
+        check_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        laplacian(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        check_symmetric(np.ones((2, 3)))
+
+
+def test_eigh_residual_random():
+    rng = np.random.default_rng(42)
+    for _ in range(30):
+        n = int(rng.integers(2, 31))
+        a = rng.uniform(-1, 1, (n, n))
+        a = (a + a.T) / 2
+        vals, vecs = np.linalg.eigh(a)
+        assert np.allclose(vals, np.linalg.eigvalsh(a), atol=1e-10)
+        # residual of the eigen-equation, column by column
+        resid = np.abs(a @ vecs - vecs * vals).max()
+        assert resid < 1e-8 * max(1.0, np.abs(a).max())
+
+
+def test_eigh_reconstruction_trace_orthonormality():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(2, 25))
+        a = rng.standard_normal((n, n))
+        a = (a + a.T) / 2
+        vals, vecs = np.linalg.eigh(a)
+        recon = vecs @ np.diag(vals) @ vecs.T
+        assert np.abs(recon - a).max() / np.abs(a).max() < 1e-8
+        assert abs(vals.sum() - np.trace(a)) < 1e-9
+        assert np.abs(vecs.T @ vecs - np.eye(n)).max() < 1e-8
+        assert np.all(np.diff(vals) >= 0)  # ascending: the embedding slice needs it
+
+
+def test_laplacian_spectrum_facts():
+    # smallest eigenvalue of any graph Laplacian is 0; none are negative
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        pts = rng.standard_normal((int(rng.integers(4, 15)), 3))
+        evs = np.linalg.eigvalsh(laplacian(rbf_affinity(pts, sigma=1.0)))
+        assert evs[0] > -1e-9
+        assert abs(evs[0]) < 1e-9
 
 
 def test_eigengap_examples():
