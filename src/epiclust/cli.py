@@ -30,17 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from .align import METRICS, balance_check
-from .cluster import (
-    ALGORITHMS,
-    LAPLACIAN_KINDS,
-    KMeansConfig,
-    SpectralConfig,
-    kmeans,
-    spectral_cluster,
-)
-from .ingest import IngestError, load_epicurves, load_features
+from .cluster import ALGORITHMS, LAPLACIAN_KINDS, KMeansConfig, SpectralConfig
+from .ingest import IngestError, _read_table, _write_table, load_epicurves, load_features
 from .pipeline import (
     PREP_SCOPES,
+    _cluster_window,
     feature_association,
     select_technique,
     temporal_stability,
@@ -106,7 +100,18 @@ def _pick(args, cfg_file, key, default):
     return cfg_file.get(key, default)
 
 
-def _build_config(args) -> RunConfig:
+def _technique_names(args, cfg_file, key, default, one):
+    """The names a comma-separated --prep/--algo value lists; exactly one if ``one``."""
+    text = _pick(args, cfg_file, key, None)
+    if text is None:
+        return default[:1] if one else default
+    names = tuple(n.strip() for n in text.split(",") if n.strip())
+    if one and len(names) != 1:
+        raise IngestError(f"--{key} takes exactly one name for this subcommand, got {text!r}")
+    return names
+
+
+def _build_config(args, one_technique=False) -> RunConfig:
     cfg_file = _load_config_file(getattr(args, "config", None))
     km_file = cfg_file.get("kmeans", {})
     sp_file = cfg_file.get("spectral", {})
@@ -127,14 +132,12 @@ def _build_config(args) -> RunConfig:
         laplacian=_pick(args, sp_file, "laplacian", "unnormalized"),
         kmeans=km,
     )
-    preps = _pick(args, cfg_file, "prep", ",".join(PREPROCESS_KINDS))
-    algos = _pick(args, cfg_file, "algo", "spectral,kmeans")
     out_dir = Path(_pick(args, cfg_file, "out", "."))
     return RunConfig(
         window_len=int(_pick(args, cfg_file, "window_len", 30)),
         k=k,
-        preps=tuple(p.strip() for p in preps.split(",") if p.strip()),
-        algos=tuple(a.strip() for a in algos.split(",") if a.strip()),
+        preps=_technique_names(args, cfg_file, "prep", PREPROCESS_KINDS, one_technique),
+        algos=_technique_names(args, cfg_file, "algo", ("spectral", "kmeans"), one_technique),
         kmeans=km,
         spectral=sp,
         trials=int(_pick(args, cfg_file, "trials", 100)),
@@ -153,21 +156,13 @@ def _build_config(args) -> RunConfig:
 
 
 def write_matrix_csv(matrix, row_labels, col_labels, path, corner="") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([corner] + list(col_labels))
-        for label, row in zip(row_labels, np.asarray(matrix)):
-            writer.writerow([label] + [repr(float(v)) for v in row])
+    _write_table(path, [corner, *col_labels], row_labels, np.asarray(matrix, dtype=float))
 
 
 def read_matrix_csv(path):
     """Re-parse a matrix CSV written by write_matrix_csv."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    col_labels = rows[0][1:]
-    row_labels = [r[0] for r in rows[1:]]
-    values = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
-    return row_labels, col_labels, values
+    header, row_labels, values = _read_table(path, "column")
+    return row_labels, header[1:], values
 
 
 def read_association_csv(path):
@@ -261,30 +256,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_inputs(args):
-    m = load_epicurves(args.input, args.populations)
-    return m
-
-
 def cmd_cluster(args) -> int:
-    cfg = _build_config(args)
-    m = _load_inputs(args)
-    prep = cfg.preps[0]
-    algo = cfg.algos[0]
-    processed = apply_preprocess(m, prep)
-    if algo == "kmeans":
-        assignment = kmeans(processed.values, cfg.kmeans)
-    elif algo == "spectral":
-        assignment = spectral_cluster(processed.values, cfg.spectral)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    cfg = _build_config(args, one_technique=True)
+    m = load_epicurves(args.input, args.populations)
+    prep, algo = cfg.preps[0], cfg.algos[0]
+    points = apply_preprocess(m, prep).values
+    assignment = _cluster_window(points, algo, cfg.k, cfg.kmeans, cfg.spectral)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     labels_path = cfg.out_dir / "labels.csv"
-    with open(labels_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region", "label"])
-        for name, label in zip(m.region_names, assignment.labels.tolist()):
-            writer.writerow([name, label])
+    _write_table(labels_path, ["region", "label"], m.region_names, assignment.labels[:, None])
     diag = balance_check(assignment, cfg.balance_threshold)
     _write_json(
         {
@@ -311,7 +291,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_stability(args) -> int:
     cfg = _build_config(args)
-    m = _load_inputs(args)
+    m = load_epicurves(args.input, args.populations)
     results = temporal_stability(
         m,
         cfg.preps,
@@ -373,8 +353,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_associate(args) -> int:
-    cfg = _build_config(args)
-    m = _load_inputs(args)
+    cfg = _build_config(args, one_technique=True)
+    m = load_epicurves(args.input, args.populations)
     if args.features is None:
         raise IngestError("associate requires --features")
     table = load_features(args.features, m)
@@ -522,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster regions on their full epicurves")
     _add_common(p)
-    p.set_defaults(func=cmd_cluster, prep_default_single=True)
+    p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("stability", help="cross-window stability of every technique pair")
     _add_common(p, multi_technique=True)

@@ -5,9 +5,11 @@ Input formats (all UTF-8 CSV, LF or CRLF):
   - population table: ``region,population``
   - feature table:    ``region,<feature name>,...`` one row per region
 
-Validation is strict: malformed cells, duplicate regions, gaps in the date
-axis, negative counts and missing values are hard errors that name the
-offending row/column. Nothing is imputed.
+One parser reads all three, and one join matches populations and features
+to the epicurve regions. Validation is strict: malformed or non-finite
+cells, non-integer populations, duplicate regions, gaps in the date axis and
+negative counts are hard errors; a bad cell is named by file, row and
+column. Nothing is imputed.
 """
 
 from __future__ import annotations
@@ -23,17 +25,6 @@ import numpy as np
 
 class IngestError(ValueError):
     """An input table failed validation; the message names the location."""
-
-
-def _read_rows(path):
-    path = Path(path)
-    if not path.is_file():
-        raise IngestError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise IngestError(f"{path}: file is empty")
-    return rows
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -152,6 +143,96 @@ class Window:
         return self.matrix.values
 
 
+def _cell_error(path, i, j, problem) -> IngestError:
+    return IngestError(f"{path}: {problem} at row {i}, column {j}")
+
+
+def _read_table(path, column, dtype=float):
+    """Parse a ``region,<column>,...`` CSV into (header, region names, values).
+
+    ``header`` holds every stripped header cell, the region column's
+    included; ``values`` has one row per data row. Rows are parsed one at a
+    time into a preallocated array, so numpy applies Python's own ``float``
+    or ``int`` to each cell; a row is scanned cell by cell only when it
+    fails, to name the bad cell.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise IngestError(f"input file not found: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        n_lines = sum(1 for _ in fh)  # at least the number of CSV records
+        fh.seek(0)
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
+            raise IngestError(f"{path}: file is empty")
+        if len(header) < 2:
+            raise IngestError(
+                f"{path}: header must hold a region column and at least one {column}"
+            )
+        header = [c.strip() for c in header]
+        names = []
+        values = np.empty((n_lines - 1, len(header) - 1), dtype=dtype)
+        for i, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise IngestError(
+                    f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
+                )
+            names.append(row[0].strip())
+            try:
+                values[i - 2] = row[1:]
+            except (ValueError, OverflowError):
+                raise _bad_cell(path, column, header, row, i, values[i - 2]) from None
+    values = values[: len(names)]
+    if values.dtype.kind == "f":
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            r, c = bad[0]
+            raise _cell_error(path, r + 2, c + 2, f"non-finite value {values[r, c]}")
+    return header, names, values
+
+
+def _bad_cell(path, column, header, row, i, out) -> IngestError:
+    """The error for the first cell of data row ``i`` that ``out`` cannot hold."""
+    for j, cell in enumerate(row[1:], start=2):
+        try:
+            out[j - 2] = cell
+        except OverflowError:
+            return _cell_error(path, i, j, f"{column} {cell!r} out of range")
+        except ValueError:
+            if not cell.strip():
+                problem = (
+                    f"missing value for region {row[0].strip()!r}, "
+                    f"{column} {header[j - 1]!r}"
+                )
+            elif out.dtype.kind == "i":
+                problem = f"non-integer {column} {cell!r}"
+            else:
+                problem = f"non-numeric value {cell!r}"
+            return _cell_error(path, i, j, problem)
+
+
+def _join_regions(path, names, values, region_names) -> np.ndarray:
+    """Reorder the rows of ``values``, one per ``names``, to follow ``region_names``.
+
+    Each table must name every region exactly once.
+    """
+    row_of = {}
+    for i, name in enumerate(names):
+        if row_of.setdefault(name, i) != i:
+            raise _cell_error(path, i + 2, 1, f"duplicate region: {name!r}")
+    missing = [n for n in region_names if n not in row_of]
+    known = set(region_names)
+    extra = [n for n in names if n not in known]
+    if missing or extra:
+        raise IngestError(
+            f"{path}: region mismatch with epicurve table"
+            + (f"; absent: {missing}" if missing else "")
+            + (f"; unknown: {extra}" if extra else "")
+        )
+    return values[[row_of[n] for n in region_names]]
+
+
 def load_epicurves(path, population_path=None) -> EpicurveMatrix:
     """Read an epicurve CSV (and optional population CSV) into a validated matrix.
 
@@ -159,76 +240,31 @@ def load_epicurves(path, population_path=None) -> EpicurveMatrix:
     dates. Raises IngestError naming the row/column for any malformed,
     non-numeric, negative or out-of-order content.
     """
-    rows = _read_rows(path)
-    header = rows[0]
-    if len(header) < 2:
-        raise IngestError(f"{path}: header must hold a region column and at least one date")
+    header, names, values = _read_table(path, "date")
     dates = []
     for j, cell in enumerate(header[1:], start=2):
         try:
-            dates.append(datetime.date.fromisoformat(cell.strip()))
+            dates.append(datetime.date.fromisoformat(cell))
         except ValueError:
             raise IngestError(
                 f"{path}: header column {j} is not an ISO date: {cell!r}"
             ) from None
-    names = []
-    data = np.empty((len(rows) - 1, len(dates)))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise IngestError(
-                f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-            )
-        names.append(row[0].strip())
-        for j, cell in enumerate(row[1:], start=2):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise IngestError(
-                    f"{path}: non-numeric value {cell!r} at row {i}, column {j}"
-                ) from None
-            if not np.isfinite(v):
-                raise IngestError(
-                    f"{path}: non-finite value {cell!r} at row {i}, column {j}"
-                )
-            if v < 0:
-                raise IngestError(
-                    f"{path}: negative count {v} at row {i}, column {j}"
-                )
-            data[i - 2, j - 2] = v
+    bad = np.argwhere(values < 0)
+    if bad.size:
+        r, c = bad[0]
+        raise _cell_error(path, r + 2, c + 2, f"negative count {values[r, c]}")
 
     populations = None
     if population_path is not None:
         populations = _load_populations(population_path, names)
-    return EpicurveMatrix(tuple(names), tuple(dates), data, populations)
+    return EpicurveMatrix(tuple(names), tuple(dates), values, populations)
 
 
 def _load_populations(path, region_names) -> np.ndarray:
-    rows = _read_rows(path)
-    if [c.strip().lower() for c in rows[0][:2]] != ["region", "population"]:
+    header, names, values = _read_table(path, "population", np.int64)
+    if [c.lower() for c in header] != ["region", "population"]:
         raise IngestError(f"{path}: expected header 'region,population'")
-    table = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise IngestError(f"{path}: row {i} has {len(row)} cells, expected 2")
-        name = row[0].strip()
-        if name in table:
-            raise IngestError(f"{path}: duplicate region: {name!r}")
-        try:
-            pop = int(row[1])
-        except ValueError:
-            raise IngestError(
-                f"{path}: non-integer population {row[1]!r} at row {i}"
-            ) from None
-        table[name] = pop
-    missing = [n for n in region_names if n not in table]
-    extra = [n for n in table if n not in set(region_names)]
-    if missing or extra:
-        raise IngestError(
-            f"{path}: region mismatch with epicurve table"
-            + (f"; absent: {missing}" if missing else "")
-            + (f"; unknown: {extra}" if extra else "")
-        )
-    return np.array([table[n] for n in region_names], dtype=np.int64)
+    return _join_regions(path, names, values, region_names)[:, 0]
 
 
 def load_features(path, epicurves: EpicurveMatrix) -> FeatureTable:
@@ -237,50 +273,9 @@ def load_features(path, epicurves: EpicurveMatrix) -> FeatureTable:
     The join is by exact region name (case-sensitive). Any region present in
     only one of the two tables, or any empty/non-numeric cell, is an error.
     """
-    rows = _read_rows(path)
-    header = rows[0]
-    if len(header) < 2:
-        raise IngestError(f"{path}: header must hold a region column and at least one feature")
-    feature_names = tuple(c.strip() for c in header[1:])
-    table = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise IngestError(
-                f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-            )
-        name = row[0].strip()
-        if name in table:
-            raise IngestError(f"{path}: duplicate region: {name!r}")
-        vals = []
-        for j, cell in enumerate(row[1:], start=2):
-            if cell.strip() == "":
-                raise IngestError(
-                    f"{path}: missing value for region {name!r}, "
-                    f"feature {feature_names[j - 2]!r}"
-                )
-            try:
-                v = float(cell)
-            except ValueError:
-                raise IngestError(
-                    f"{path}: non-numeric value {cell!r} at row {i}, column {j}"
-                ) from None
-            if not np.isfinite(v):
-                raise IngestError(
-                    f"{path}: missing value for region {name!r}, "
-                    f"feature {feature_names[j - 2]!r}"
-                )
-            vals.append(v)
-        table[name] = vals
-    missing = [n for n in epicurves.region_names if n not in table]
-    extra = [n for n in table if n not in set(epicurves.region_names)]
-    if missing or extra:
-        raise IngestError(
-            f"{path}: region mismatch with epicurve table"
-            + (f"; absent: {missing}" if missing else "")
-            + (f"; unknown: {extra}" if extra else "")
-        )
-    values = np.array([table[n] for n in epicurves.region_names])
-    return FeatureTable(epicurves.region_names, feature_names, values)
+    header, names, values = _read_table(path, "feature")
+    values = _join_regions(path, names, values, epicurves.region_names)
+    return FeatureTable(epicurves.region_names, tuple(header[1:]), values)
 
 
 def split_windows(m: EpicurveMatrix, window_len: int = 30) -> list[Window]:
@@ -312,28 +307,25 @@ def split_windows(m: EpicurveMatrix, window_len: int = 30) -> list[Window]:
     return windows
 
 
-def write_epicurves(m: EpicurveMatrix, path) -> None:
-    """Write the matrix in the epicurve CSV format. Round-trips exactly."""
+def _write_table(path, header, names, values) -> None:
+    """Write ``header``, then one ``name,<repr of each value>`` row per name."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region"] + [d.isoformat() for d in m.dates])
-        for name, row in zip(m.region_names, m.values):
-            writer.writerow([name] + [repr(v) for v in row.tolist()])
+        writer.writerow(header)
+        for name, row in zip(names, values):
+            writer.writerow([name, *map(repr, row.tolist())])
+
+
+def write_epicurves(m: EpicurveMatrix, path) -> None:
+    """Write the matrix in the epicurve CSV format. Round-trips exactly."""
+    _write_table(path, ["region", *(d.isoformat() for d in m.dates)], m.region_names, m.values)
 
 
 def write_populations(m: EpicurveMatrix, path) -> None:
     if m.populations is None:
         raise ValueError("matrix carries no populations")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region", "population"])
-        for name, pop in zip(m.region_names, m.populations.tolist()):
-            writer.writerow([name, pop])
+    _write_table(path, ["region", "population"], m.region_names, m.populations[:, None])
 
 
 def write_features(t: FeatureTable, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region"] + list(t.feature_names))
-        for name, row in zip(t.region_names, t.values):
-            writer.writerow([name] + [repr(v) for v in row.tolist()])
+    _write_table(path, ["region", *t.feature_names], t.region_names, t.values)

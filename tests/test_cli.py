@@ -190,3 +190,15 @@ def test_matrix_csv_roundtrip(tmp_path):
     rows, cols, back = read_matrix_csv(path)
     assert rows == ["w0", "w1"] and cols == ["w0", "w1"]
     assert np.array_equal(back, values)
+
+
+@pytest.mark.parametrize("command", ["cluster", "associate"])
+@pytest.mark.parametrize("flag, names", [("--prep", "none,zscore"), ("--algo", "kmeans,spectral")])
+def test_single_technique_rejects_name_list(fixture_dir, tmp_path, capsys, command, flag, names):
+    out = tmp_path / "out"
+    features = ["--features", fixture_dir / "features.csv"] if command == "associate" else []
+    code = run([command, "--input", fixture_dir / "epicurves.csv", *features,
+                flag, names, "--out", out])
+    assert code == 2
+    assert f"{flag} takes exactly one name" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Loading, validation, windowing and CSV round-trips."""
 
 import datetime
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,46 @@ def test_load_features_missing_value(tmp_path):
     m = load_epicurves(epi)
     with pytest.raises(IngestError, match="missing value for region 'b', feature 'Population'"):
         load_features(feat, m)
+
+
+@pytest.mark.parametrize(
+    "table, cell, problem",
+    [
+        ("epicurves", "oops", "non-numeric value 'oops'"),
+        ("epicurves", "", "missing value for region {region!r}, date {column!r}"),
+        ("epicurves", "nan", "non-finite value nan"),
+        ("epicurves", "-inf", "non-finite value -inf"),
+        ("epicurves", "-3", "negative count -3.0"),
+        ("populations", "2.5", "non-integer population '2.5'"),
+        ("populations", "9" * 20, f"population '{'9' * 20}' out of range"),
+        ("features", None, "duplicate region: {region!r}"),
+        ("populations", None, "duplicate region: {region!r}"),
+    ],
+    ids=["epi_text", "epi_empty", "epi_nan", "epi_inf", "epi_negative",
+         "pop_fraction", "pop_overflow", "feat_duplicate", "pop_duplicate"],
+)
+def test_bad_cell_named_at_its_row_and_column(tmp_path, table, cell, problem):
+    """One bad cell (None: a region name copied from another row) at random places."""
+    fix = generate_fixture(8, 10, 2, seed=0)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("epicurves", "populations", "features")}
+    rng = np.random.default_rng(len(problem))
+    for _ in range(6):
+        write_epicurves(fix.epicurves, paths["epicurves"])
+        write_populations(fix.epicurves, paths["populations"])
+        write_features(fix.features, paths["features"])
+        lines = [line.split(",") for line in paths[table].read_text().splitlines()]
+        if cell is None:
+            first, i = sorted(rng.choice(np.arange(1, len(lines)), size=2, replace=False))
+            j = 0
+            region = lines[first][0] = lines[i][0]
+        else:
+            i, j = rng.integers(1, len(lines)), rng.integers(1, len(lines[0]))
+            lines[i][j], region = cell, lines[i][0]
+        write_csv(paths[table], [",".join(cells) for cells in lines])
+        expected = problem.format(region=region, column=lines[0][j])
+        with pytest.raises(IngestError, match=re.escape(f"{expected} at row {i + 1}, column {j + 1}")):
+            m = load_epicurves(paths["epicurves"], paths["populations"])
+            load_features(paths["features"], m)
 
 
 def test_load_features_row_permutation_invariance(tmp_path):
