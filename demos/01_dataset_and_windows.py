@@ -30,10 +30,11 @@ print(f"reloaded: {m.n_regions} regions x {m.n_days} days, "
 print(f"dates {m.dates[0]} .. {m.dates[-1]}")
 
 windows = split_windows(m, window_len=30)
+# each window is itself an EpicurveMatrix, holding its own 30 dates
 print(f"\n{len(windows)} windows of 30 days:")
-for w in windows:
+for i, w in enumerate(windows):
     means = w.values.mean(axis=1)
-    print(f"  window {w.index}: {w.start_date} .. {w.end_date}  "
+    print(f"  window {i}: {w.dates[0]} .. {w.dates[-1]}  "
           f"region means {means.min():7.1f} .. {means.max():7.1f}")
 
 print("\nper-cluster mean level in window 0 (the planted signal):")

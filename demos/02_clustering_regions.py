@@ -27,7 +27,7 @@ window = split_windows(fixture.epicurves)[0]
 points = window.values
 truth = fixture.planted_labels
 
-km = kmeans(points, KMeansConfig(k=3, seed=0))
+km = kmeans(points, 3, KMeansConfig(seed=0))
 print("k-means on the raw 30-day vectors")
 print(f"  labels   : {km.labels.tolist()}")
 print(f"  inertia  : {km.inertia:.1f}")
@@ -44,7 +44,7 @@ print(f"  smallest Laplacian eigenvalues: {np.round(spectrum[:6], 6).tolist()}")
 print(f"  zero eigenvalues (= connected components): {(spectrum < 1e-9).sum()}")
 print(f"  eigengap suggestion for k: {eigengap_suggest_k(spectrum, k_max=8)}")
 
-sp = spectral_cluster(points, SpectralConfig(k=3, sigma=sigma, kmeans=KMeansConfig(k=3, seed=0)))
+sp = spectral_cluster(points, 3, SpectralConfig(sigma=sigma), KMeansConfig(seed=0))
 print(f"  labels   : {sp.labels.tolist()}")
 print(f"  vs truth : cost {best_permutation_dissimilarity(sp.labels, truth, 3).cost}")
 

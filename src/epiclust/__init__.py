@@ -27,7 +27,6 @@ from .ingest import (
     EpicurveMatrix,
     FeatureTable,
     IngestError,
-    Window,
     load_epicurves,
     load_features,
     split_windows,
@@ -70,7 +69,6 @@ __all__ = [
     "PREPROCESS_KINDS",
     "SpectralConfig",
     "StabilityMatrix",
-    "Window",
     "apply_preprocess",
     "balance_check",
     "best_permutation_dissimilarity",

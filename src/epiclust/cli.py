@@ -57,7 +57,6 @@ class RunConfig:
     kmeans: KMeansConfig
     spectral: SpectralConfig
     trials: int
-    seed: int
     balance_threshold: float
     metric: str
     prep_scope: str
@@ -115,9 +114,7 @@ def _build_config(args, one_technique=False) -> RunConfig:
     cfg_file = _load_config_file(getattr(args, "config", None))
     km_file = cfg_file.get("kmeans", {})
     sp_file = cfg_file.get("spectral", {})
-    k = int(_pick(args, cfg_file, "k", 3))
     km = KMeansConfig(
-        k=k,
         epsilon=float(_pick(args, km_file, "epsilon", 1e-6)),
         max_iters=int(_pick(args, km_file, "max_iters", 300)),
         restarts=int(_pick(args, km_file, "restarts", 10)),
@@ -126,27 +123,19 @@ def _build_config(args, one_technique=False) -> RunConfig:
     sigma = _pick(args, sp_file, "sigma", "median")
     if sigma != "median":
         sigma = float(sigma)
-    sp = SpectralConfig(
-        k=k,
-        sigma=sigma,
-        laplacian=_pick(args, sp_file, "laplacian", "unnormalized"),
-        kmeans=km,
-    )
-    out_dir = Path(_pick(args, cfg_file, "out", "."))
     return RunConfig(
         window_len=int(_pick(args, cfg_file, "window_len", 30)),
-        k=k,
+        k=int(_pick(args, cfg_file, "k", 3)),
         preps=_technique_names(args, cfg_file, "prep", PREPROCESS_KINDS, one_technique),
         algos=_technique_names(args, cfg_file, "algo", ("spectral", "kmeans"), one_technique),
         kmeans=km,
-        spectral=sp,
+        spectral=SpectralConfig(sigma, _pick(args, sp_file, "laplacian", "unnormalized")),
         trials=int(_pick(args, cfg_file, "trials", 100)),
-        seed=int(_pick(args, cfg_file, "seed", 0)),
         balance_threshold=float(_pick(args, cfg_file, "balance_threshold", 0.8)),
         metric=_pick(args, cfg_file, "metric", "squared"),
         prep_scope=_pick(args, cfg_file, "prep_scope", "per_window"),
         baseline_mode=_pick(args, cfg_file, "baseline_mode", "uniform"),
-        out_dir=out_dir,
+        out_dir=Path(_pick(args, cfg_file, "out", ".")),
         heatmap=bool(getattr(args, "heatmap", False)),
     )
 
@@ -272,7 +261,7 @@ def cmd_cluster(args) -> int:
             "prep": prep,
             "algorithm": algo,
             "k": cfg.k,
-            "seed": cfg.seed,
+            "seed": cfg.kmeans.seed,
             "labels": {
                 name: int(label)
                 for name, label in zip(m.region_names, assignment.labels)
@@ -340,7 +329,7 @@ def cmd_stability(args) -> int:
             "k": cfg.k,
             "window_len": cfg.window_len,
             "metric": cfg.metric,
-            "seed": cfg.seed,
+            "seed": cfg.kmeans.seed,
             "balance_threshold": cfg.balance_threshold,
             "prep_scope": cfg.prep_scope,
             "selected": {"prep": selected[0], "algorithm": selected[1]},
@@ -367,7 +356,7 @@ def cmd_associate(args) -> int:
         cfg.kmeans,
         cfg.spectral,
         trials=cfg.trials,
-        seed=cfg.seed,
+        seed=cfg.kmeans.seed,
         window_len=cfg.window_len,
         metric=cfg.metric,
         balance_threshold=cfg.balance_threshold,
@@ -398,7 +387,7 @@ def cmd_associate(args) -> int:
             "k": report.k,
             "metric": cfg.metric,
             "trials": cfg.trials,
-            "seed": cfg.seed,
+            "seed": cfg.kmeans.seed,
             "baseline_mode": cfg.baseline_mode,
             "window_count": report.window_count,
             "epidemic_labels": [list(labels) for labels in report.epidemic_labels],

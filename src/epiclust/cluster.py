@@ -1,6 +1,7 @@
 """Clustering of region observations.
 
-Three entry points:
+Three entry points, each taking the cluster count k as an argument; the
+frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
 
   kmeans                  Lloyd iterations with k-means++ seeding and
                           independent restarts; fully deterministic per seed.
@@ -16,7 +17,7 @@ evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,36 +32,28 @@ AFFINITY_BLOCK_BYTES = 32 * 2**20
 class KMeansConfig:
     """Lloyd-iteration controls; ``epsilon`` bounds centroid movement at convergence."""
 
-    k: int
     epsilon: float = 1e-6
     max_iters: int = 300
     restarts: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
         if self.epsilon <= 0 or self.max_iters < 1 or self.restarts < 1:
             raise ValueError("epsilon, max_iters and restarts must be positive")
 
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Affinity bandwidth, Laplacian variant and the embedding-stage k-means.
+    """Affinity bandwidth and Laplacian variant.
 
     ``sigma`` may be a positive number or the string ``"median"`` (median of
-    the non-zero pairwise distances). The embedding k-means always runs with
-    this config's ``k``, whatever its own ``k`` says.
+    the non-zero pairwise distances).
     """
 
-    k: int
     sigma: float | str = "median"
     laplacian: str = "unnormalized"
-    kmeans: KMeansConfig = field(default_factory=lambda: KMeansConfig(k=1))
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
         if self.laplacian not in LAPLACIAN_KINDS:
             raise ValueError(
                 f"unknown laplacian kind {self.laplacian!r}; expected one of {LAPLACIAN_KINDS}"
@@ -82,7 +75,6 @@ class ClusterAssignment:
     labels: np.ndarray
     k: int
     centroids: np.ndarray
-    algorithm: str
     inertia: float
     suggested_k: int | None = None
     inertia_history: tuple[float, ...] | None = None
@@ -93,6 +85,13 @@ class ClusterAssignment:
             raise ValueError(f"labels must lie in [0, {self.k})")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
+
+
+def _check_k(k, n):
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds the {n} observations")
 
 
 def _assign(points, centroids):
@@ -124,13 +123,12 @@ def _lloyd(points, k, cfg: KMeansConfig, rng):
     for _ in range(cfg.max_iters):
         labels, inertia, d2 = _assign(points, centroids)
         history.append(inertia)
+        counts = np.bincount(labels, minlength=k)
         new_centroids = centroids.copy()
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                new_centroids[c] = points[members].mean(axis=0)
-        empty = [c for c in range(k) if not (labels == c).any()]
-        if empty:
+        for c in np.flatnonzero(counts):
+            new_centroids[c] = points[labels == c].mean(axis=0)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
             # re-seed each empty cluster with the point farthest from its
             # current centroid, never reusing a point twice
             dist_to_own = d2[np.arange(len(points)), labels].copy()
@@ -147,8 +145,8 @@ def _lloyd(points, k, cfg: KMeansConfig, rng):
     return labels, centroids, inertia, tuple(history)
 
 
-def kmeans(points, cfg: KMeansConfig) -> ClusterAssignment:
-    """Cluster points into ``cfg.k`` groups, keeping the best of ``cfg.restarts``.
+def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignment:
+    """Cluster points into ``k`` groups, keeping the best of ``cfg.restarts``.
 
     Deterministic for a given seed; the winning restart is the one with the
     lowest final inertia (first such on ties).
@@ -158,18 +156,15 @@ def kmeans(points, cfg: KMeansConfig) -> ClusterAssignment:
         points = points[:, None]
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError(f"expected a non-empty 2-D point array, got shape {points.shape}")
-    if cfg.k > points.shape[0]:
-        raise ValueError(f"k={cfg.k} exceeds the {points.shape[0]} observations")
+    _check_k(k, points.shape[0])
     best = None
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        labels, centroids, inertia, history = _lloyd(points, cfg.k, cfg, rng)
+        labels, centroids, inertia, history = _lloyd(points, k, cfg, rng)
         if best is None or inertia < best[2]:
             best = (labels, centroids, inertia, history)
     labels, centroids, inertia, history = best
-    return ClusterAssignment(
-        labels, cfg.k, centroids, "kmeans", inertia, inertia_history=history
-    )
+    return ClusterAssignment(labels, k, centroids, inertia, inertia_history=history)
 
 
 def rbf_affinity(points, sigma: float | str = "median") -> np.ndarray:
@@ -263,52 +258,48 @@ def eigengap_suggest_k(eigenvalues, k_max: int) -> int:
     return int(gaps.argmax()) + 1
 
 
-def spectral_from_affinity(w, cfg: SpectralConfig) -> ClusterAssignment:
+def spectral_from_affinity(
+    w, k: int, cfg: SpectralConfig = SpectralConfig(), kmeans_cfg: KMeansConfig = KMeansConfig()
+) -> ClusterAssignment:
     """Spectral clustering from a ready-made affinity matrix.
 
     Laplacian -> ascending eigendecomposition (``numpy.linalg.eigh``) -> rows
     of the first k eigenvector columns -> k-means. The eigengap suggestion is
-    attached as metadata; the configured k stays authoritative.
+    attached as metadata; the given k stays authoritative.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
-    if cfg.k > n:
-        raise ValueError(f"k={cfg.k} exceeds the {n} observations")
+    _check_k(k, n)
     lap = laplacian(w, cfg.laplacian)
     eigenvalues, eigenvectors = np.linalg.eigh(lap)
-    embedding = eigenvectors[:, : cfg.k]
+    embedding = eigenvectors[:, :k]
     suggested = eigengap_suggest_k(eigenvalues, k_max=min(n - 1, 8))
-    km = kmeans(embedding, replace(cfg.kmeans, k=cfg.k))
+    km = kmeans(embedding, k, kmeans_cfg)
     return ClusterAssignment(
         km.labels,
-        cfg.k,
+        k,
         km.centroids,
-        "spectral",
         km.inertia,
         suggested_k=suggested,
         inertia_history=km.inertia_history,
     )
 
 
-def spectral_cluster(points, cfg: SpectralConfig) -> ClusterAssignment:
+def spectral_cluster(
+    points, k: int, cfg: SpectralConfig = SpectralConfig(), kmeans_cfg: KMeansConfig = KMeansConfig()
+) -> ClusterAssignment:
     """Full spectral pipeline on raw observation vectors."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if cfg.k > points.shape[0]:
-        raise ValueError(f"k={cfg.k} exceeds the {points.shape[0]} observations")
-    return spectral_from_affinity(rbf_affinity(points, cfg.sigma), cfg)
+    return spectral_from_affinity(rbf_affinity(points, cfg.sigma), k, cfg, kmeans_cfg)
 
 
-def cluster_scalar_feature(values, k: int, cfg: KMeansConfig | None = None) -> ClusterAssignment:
+def cluster_scalar_feature(values, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignment:
     """1-D k-means with cluster indexes pre-set in increasing centroid order.
 
     Label 0 always holds the smallest values, so labels carry meaning across
     features and are directly comparable to other ordered labelings.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
-    cfg = KMeansConfig(k=k) if cfg is None else replace(cfg, k=k)
-    km = kmeans(values[:, None], cfg)
+    km = kmeans(values[:, None], k, cfg)
     order = np.argsort(km.centroids[:, 0], kind="stable")
     rank = np.empty(k, dtype=np.int64)
     rank[order] = np.arange(k)
@@ -316,7 +307,6 @@ def cluster_scalar_feature(values, k: int, cfg: KMeansConfig | None = None) -> C
         rank[km.labels],
         k,
         km.centroids[order],
-        "scalar_ordered",
         km.inertia,
         inertia_history=km.inertia_history,
     )

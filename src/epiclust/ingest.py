@@ -7,9 +7,10 @@ Input formats (all UTF-8 CSV, LF or CRLF):
 
 One parser reads all three, and one join matches populations and features
 to the epicurve regions. Validation is strict: malformed or non-finite
-cells, non-integer populations, duplicate regions, gaps in the date axis and
-negative counts are hard errors; a bad cell is named by file, row and
-column. Nothing is imputed.
+cells, non-integer or non-positive populations, duplicate regions, gaps in
+the date axis and negative counts are hard errors; a bad cell is named by
+file, row and column. Nothing is imputed. ``split_windows`` cuts a matrix
+into fixed-length windows, each an ``EpicurveMatrix`` over its own dates.
 """
 
 from __future__ import annotations
@@ -129,22 +130,16 @@ class FeatureTable:
         return self.values[:, self.feature_names.index(feature)]
 
 
-@dataclass(frozen=True)
-class Window:
-    """One fixed-length slice of the date axis, as a standalone matrix."""
-
-    index: int
-    start_date: datetime.date
-    end_date: datetime.date
-    matrix: EpicurveMatrix
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.values
-
-
 def _cell_error(path, i, j, problem) -> IngestError:
     return IngestError(f"{path}: {problem} at row {i}, column {j}")
+
+
+def _reject_cells(path, bad, describe) -> None:
+    """Raise for the first True cell of the mask ``bad`` over a table's values."""
+    cells = np.argwhere(bad)
+    if cells.size:
+        r, c = cells[0]
+        raise _cell_error(path, r + 2, c + 2, describe(r, c))
 
 
 def _read_table(path, column, dtype=float):
@@ -185,10 +180,7 @@ def _read_table(path, column, dtype=float):
                 raise _bad_cell(path, column, header, row, i, values[i - 2]) from None
     values = values[: len(names)]
     if values.dtype.kind == "f":
-        bad = np.argwhere(~np.isfinite(values))
-        if bad.size:
-            r, c = bad[0]
-            raise _cell_error(path, r + 2, c + 2, f"non-finite value {values[r, c]}")
+        _reject_cells(path, ~np.isfinite(values), lambda r, c: f"non-finite value {values[r, c]}")
     return header, names, values
 
 
@@ -212,15 +204,21 @@ def _bad_cell(path, column, header, row, i, out) -> IngestError:
             return _cell_error(path, i, j, problem)
 
 
+def _row_of(path, names) -> dict:
+    """Map each region name to its data row; a name given twice is an error."""
+    row_of = {}
+    for i, name in enumerate(names):
+        if row_of.setdefault(name, i) != i:
+            raise _cell_error(path, i + 2, 1, f"duplicate region: {name!r}")
+    return row_of
+
+
 def _join_regions(path, names, values, region_names) -> np.ndarray:
     """Reorder the rows of ``values``, one per ``names``, to follow ``region_names``.
 
     Each table must name every region exactly once.
     """
-    row_of = {}
-    for i, name in enumerate(names):
-        if row_of.setdefault(name, i) != i:
-            raise _cell_error(path, i + 2, 1, f"duplicate region: {name!r}")
+    row_of = _row_of(path, names)
     missing = [n for n in region_names if n not in row_of]
     known = set(region_names)
     extra = [n for n in names if n not in known]
@@ -249,10 +247,8 @@ def load_epicurves(path, population_path=None) -> EpicurveMatrix:
             raise IngestError(
                 f"{path}: header column {j} is not an ISO date: {cell!r}"
             ) from None
-    bad = np.argwhere(values < 0)
-    if bad.size:
-        r, c = bad[0]
-        raise _cell_error(path, r + 2, c + 2, f"negative count {values[r, c]}")
+    _reject_cells(path, values < 0, lambda r, c: f"negative count {values[r, c]}")
+    _row_of(path, names)  # a duplicate region fails here, named by its row
 
     populations = None
     if population_path is not None:
@@ -264,6 +260,11 @@ def _load_populations(path, region_names) -> np.ndarray:
     header, names, values = _read_table(path, "population", np.int64)
     if [c.lower() for c in header] != ["region", "population"]:
         raise IngestError(f"{path}: expected header 'region,population'")
+    _reject_cells(
+        path,
+        values <= 0,
+        lambda r, c: f"non-positive population {values[r, c]} for region {names[r]!r}",
+    )
     return _join_regions(path, names, values, region_names)[:, 0]
 
 
@@ -278,10 +279,11 @@ def load_features(path, epicurves: EpicurveMatrix) -> FeatureTable:
     return FeatureTable(epicurves.region_names, tuple(header[1:]), values)
 
 
-def split_windows(m: EpicurveMatrix, window_len: int = 30) -> list[Window]:
+def split_windows(m: EpicurveMatrix, window_len: int = 30) -> list[EpicurveMatrix]:
     """Cut the date axis into disjoint consecutive windows of ``window_len`` days.
 
-    Trailing days that do not fill a whole window are dropped with a warning.
+    Each window is an EpicurveMatrix over its own dates. Trailing days that do
+    not fill a whole window are dropped with a warning.
     """
     if window_len < 1:
         raise ValueError(f"window_len must be positive, got {window_len}")
@@ -297,14 +299,11 @@ def split_windows(m: EpicurveMatrix, window_len: int = 30) -> list[Window]:
             f"{window_len}-day window",
             stacklevel=2,
         )
-    windows = []
-    for w in range(count):
-        lo, hi = w * window_len, (w + 1) * window_len
-        sub = EpicurveMatrix(
-            m.region_names, m.dates[lo:hi], m.values[:, lo:hi], m.populations
-        )
-        windows.append(Window(w, m.dates[lo], m.dates[hi - 1], sub))
-    return windows
+    spans = [(lo, lo + window_len) for lo in range(0, count * window_len, window_len)]
+    return [
+        EpicurveMatrix(m.region_names, m.dates[lo:hi], m.values[:, lo:hi], m.populations)
+        for lo, hi in spans
+    ]
 
 
 def _write_table(path, header, names, values) -> None:

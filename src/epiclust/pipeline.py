@@ -12,7 +12,7 @@ technique, with a seeded Monte Carlo random-label null per cell.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,9 +92,9 @@ class AssociationReport:
 
 def _cluster_window(points, algo, k, kmeans_cfg, spectral_cfg) -> ClusterAssignment:
     if algo == "kmeans":
-        return kmeans(points, replace(kmeans_cfg, k=k))
+        return kmeans(points, k, kmeans_cfg)
     if algo == "spectral":
-        return spectral_cluster(points, replace(spectral_cfg, k=k, kmeans=kmeans_cfg))
+        return spectral_cluster(points, k, spectral_cfg, kmeans_cfg)
     raise ValueError(f"unknown algorithm {algo!r}; expected 'kmeans' or 'spectral'")
 
 
@@ -117,8 +117,8 @@ def temporal_stability(
     preps,
     algos,
     k: int,
-    kmeans_cfg: KMeansConfig | None = None,
-    spectral_cfg: SpectralConfig | None = None,
+    kmeans_cfg: KMeansConfig = KMeansConfig(),
+    spectral_cfg: SpectralConfig = SpectralConfig(),
     *,
     window_len: int = 30,
     metric: str = "squared",
@@ -133,8 +133,6 @@ def temporal_stability(
     symmetric with a zero diagonal. Balance diagnostics are attached per
     window.
     """
-    kmeans_cfg = KMeansConfig(k=k) if kmeans_cfg is None else kmeans_cfg
-    spectral_cfg = SpectralConfig(k=k) if spectral_cfg is None else spectral_cfg
     if m.n_days < 2 * window_len:
         raise ValueError(
             f"{m.n_days} days yield fewer than 2 windows of {window_len}; "
@@ -191,8 +189,8 @@ def feature_association(
     f: FeatureTable,
     chosen: tuple[str, str],
     k: int,
-    kmeans_cfg: KMeansConfig | None = None,
-    spectral_cfg: SpectralConfig | None = None,
+    kmeans_cfg: KMeansConfig = KMeansConfig(),
+    spectral_cfg: SpectralConfig = SpectralConfig(),
     *,
     trials: int = 100,
     seed: int = 0,
@@ -217,8 +215,6 @@ def feature_association(
             "load them via load_features"
         )
     prep, algo = chosen
-    kmeans_cfg = KMeansConfig(k=k) if kmeans_cfg is None else kmeans_cfg
-    spectral_cfg = SpectralConfig(k=k) if spectral_cfg is None else spectral_cfg
     epidemic = _window_assignments(
         m, prep, algo, k, kmeans_cfg, spectral_cfg, window_len, prep_scope
     )

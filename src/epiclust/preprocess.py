@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ingest import EpicurveMatrix, Window
+from .ingest import EpicurveMatrix
 
 PREPROCESS_KINDS = ("none", "population", "zscore", "minmax_row", "minmax_global")
 
@@ -26,10 +26,6 @@ def population_normalize(m: EpicurveMatrix) -> EpicurveMatrix:
     """Scale each row to cases per million persons of that region."""
     if m.populations is None:
         raise ValueError("population normalization requires per-region populations")
-    # EpicurveMatrix guarantees populations > 0; recheck to report the region
-    bad = np.nonzero(m.populations <= 0)[0]
-    if bad.size:
-        raise ValueError(f"non-positive population for region {m.region_names[bad[0]]!r}")
     scale = 1e6 / m.populations.astype(float)
     return m.with_values(m.values * scale[:, None])
 
@@ -74,10 +70,8 @@ _TECHNIQUES = {
 }
 
 
-def apply_preprocess(m, kind: str):
-    """Apply a technique by name to an EpicurveMatrix or Window."""
+def apply_preprocess(m: EpicurveMatrix, kind: str) -> EpicurveMatrix:
+    """Apply a technique by name to an EpicurveMatrix."""
     if kind not in _TECHNIQUES:
         raise ValueError(f"unknown preprocessing kind {kind!r}; expected one of {PREPROCESS_KINDS}")
-    if isinstance(m, Window):
-        return Window(m.index, m.start_date, m.end_date, apply_preprocess(m.matrix, kind))
     return _TECHNIQUES[kind](m)

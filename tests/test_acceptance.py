@@ -16,7 +16,6 @@ from epiclust.align import best_permutation_dissimilarity
 from epiclust.cli import main, read_association_csv
 from epiclust.cluster import (
     KMeansConfig,
-    SpectralConfig,
     kmeans,
     laplacian,
     spectral_from_affinity,
@@ -98,7 +97,7 @@ def test_criterion_3_kmeans_small_scale_optimality():
         k = int(rng.integers(1, 4))
         n = int(rng.integers(max(2, k), 11))
         x = rng.uniform(0.0, 100.0, n)
-        km = kmeans(x[:, None], KMeansConfig(k=k, restarts=10, seed=int(rng.integers(10_000))))
+        km = kmeans(x[:, None], k, KMeansConfig(restarts=10, seed=int(rng.integers(10_000))))
         optimum = exhaustive_partition_optimum(x, k)
         if km.inertia <= optimum + 1e-9 * max(1.0, optimum):
             matches += 1
@@ -121,7 +120,7 @@ def test_criterion_4_spectral_planted_blocks():
     np.fill_diagonal(w, 0.0)
     evs = np.linalg.eigvalsh(laplacian(w))
     assert int((evs < 1e-9).sum()) == 2  # two connected components
-    sp = spectral_from_affinity(w, SpectralConfig(k=2, kmeans=KMeansConfig(k=2, seed=0)))
+    sp = spectral_from_affinity(w, 2, kmeans_cfg=KMeansConfig(seed=0))
     truth = [0] * 12 + [1] * 12
     assert best_permutation_dissimilarity(sp.labels, truth, 2).cost == 0.0
     elapsed = time.perf_counter() - t0

@@ -179,7 +179,7 @@ def test_balance_check_balanced_and_degenerate():
 def test_balance_check_accepts_assignment_objects():
     from epiclust.cluster import KMeansConfig, kmeans
 
-    km = kmeans(np.array([0.0, 0.1, 5.0, 5.1]), KMeansConfig(k=2, seed=0))
+    km = kmeans(np.array([0.0, 0.1, 5.0, 5.1]), 2, KMeansConfig(seed=0))
     assert balance_check(km, 0.8).balanced
 
 

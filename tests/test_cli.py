@@ -202,3 +202,14 @@ def test_single_technique_rejects_name_list(fixture_dir, tmp_path, capsys, comma
     assert code == 2
     assert f"{flag} takes exactly one name" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "stability", "associate"])
+def test_k_zero_exits_1(fixture_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    features = ["--features", fixture_dir / "features.csv"] if command == "associate" else []
+    code = run([command, "--input", fixture_dir / "epicurves.csv", *features,
+                "--k", "0", "--out", out])
+    assert code == 1
+    assert "k must be positive, got 0" in capsys.readouterr().err
+    assert not out.exists()

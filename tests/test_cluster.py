@@ -39,7 +39,7 @@ def blocks_affinity(sizes, within=1.0):
 
 def test_kmeans_two_far_pairs():
     # exhaustive enumeration of 2-partitions puts {0, 0.1} | {10, 10.1} first
-    km = kmeans(np.array([0.0, 0.1, 10.0, 10.1]), KMeansConfig(k=2, seed=0))
+    km = kmeans(np.array([0.0, 0.1, 10.0, 10.1]), 2, KMeansConfig(seed=0))
     assert km.labels[0] == km.labels[1] != km.labels[2] == km.labels[3]
     assert sorted(km.centroids[:, 0].tolist()) == [0.05, 10.05]
     assert km.inertia == pytest.approx(0.01)
@@ -47,13 +47,13 @@ def test_kmeans_two_far_pairs():
 
 def test_kmeans_k_equals_n():
     pts = np.array([[0.0], [1.0], [5.0], [9.0]])
-    km = kmeans(pts, KMeansConfig(k=4, seed=1))
+    km = kmeans(pts, 4, KMeansConfig(seed=1))
     assert sorted(km.labels.tolist()) == [0, 1, 2, 3]
     assert km.inertia == 0.0
 
 
 def test_kmeans_identical_points():
-    km = kmeans(np.full((5, 2), 3.0), KMeansConfig(k=1, seed=0))
+    km = kmeans(np.full((5, 2), 3.0), 1, KMeansConfig(seed=0))
     assert km.labels.tolist() == [0] * 5
     assert km.centroids.tolist() == [[3.0, 3.0]]
     assert km.inertia == 0.0
@@ -62,8 +62,8 @@ def test_kmeans_identical_points():
 def test_kmeans_seed_deterministic():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((40, 6))
-    a = kmeans(pts, KMeansConfig(k=4, seed=123))
-    b = kmeans(pts, KMeansConfig(k=4, seed=123))
+    a = kmeans(pts, 4, KMeansConfig(seed=123))
+    b = kmeans(pts, 4, KMeansConfig(seed=123))
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.centroids, b.centroids)
     assert a.inertia == b.inertia
@@ -73,7 +73,7 @@ def test_kmeans_inertia_history_non_increasing():
     rng = np.random.default_rng(17)
     for _ in range(20):
         pts = rng.standard_normal((int(rng.integers(5, 30)), 2))
-        km = kmeans(pts, KMeansConfig(k=3, seed=int(rng.integers(1000))))
+        km = kmeans(pts, 3, KMeansConfig(seed=int(rng.integers(1000))))
         hist = np.array(km.inertia_history)
         assert np.all(np.diff(hist) <= 1e-9 * np.maximum(1.0, hist[:-1]))
         assert km.inertia == hist[-1]
@@ -82,18 +82,18 @@ def test_kmeans_inertia_history_non_increasing():
 def test_kmeans_labels_match_nearest_final_centroid():
     rng = np.random.default_rng(2)
     pts = rng.uniform(0, 10, (30, 3))
-    km = kmeans(pts, KMeansConfig(k=4, seed=9))
+    km = kmeans(pts, 4, KMeansConfig(seed=9))
     d2 = ((pts[:, None, :] - km.centroids[None]) ** 2).sum(axis=2)
     assert np.array_equal(km.labels, d2.argmin(axis=1))
 
 
 def test_kmeans_errors():
     with pytest.raises(ValueError, match="exceeds"):
-        kmeans(np.zeros((2, 1)), KMeansConfig(k=3))
+        kmeans(np.zeros((2, 1)), 3)
     with pytest.raises(ValueError, match="non-empty"):
-        kmeans(np.zeros((0, 1)), KMeansConfig(k=1))
-    with pytest.raises(ValueError):
-        KMeansConfig(k=0)
+        kmeans(np.zeros((0, 1)), 1)
+    with pytest.raises(ValueError, match="k must be positive"):
+        kmeans(np.zeros((2, 1)), 0)
 
 
 # --- affinity / laplacian / eigengap -----------------------------------------
@@ -283,20 +283,20 @@ def test_eigengap_tie_breaks_small_and_clamps():
 def test_spectral_disconnected_components_recovered():
     w = blocks_affinity([5, 7])
     truth = [0] * 5 + [1] * 7
-    sp = spectral_from_affinity(w, SpectralConfig(k=2, kmeans=KMeansConfig(k=2, seed=0)))
+    sp = spectral_from_affinity(w, 2, kmeans_cfg=KMeansConfig(seed=0))
     assert best_permutation_dissimilarity(sp.labels, truth, 2).cost == 0.0
     assert sp.suggested_k == 2
 
 
 def test_spectral_matches_kmeans_on_far_blobs():
     pts = np.array([0.0, 0.1, 0.2, 50.0, 50.1, 50.2])
-    sp = spectral_cluster(pts, SpectralConfig(k=2, sigma=1.0, kmeans=KMeansConfig(k=2, seed=1)))
-    km = kmeans(pts, KMeansConfig(k=2, seed=1))
+    sp = spectral_cluster(pts, 2, SpectralConfig(sigma=1.0), KMeansConfig(seed=1))
+    km = kmeans(pts, 2, KMeansConfig(seed=1))
     assert best_permutation_dissimilarity(sp.labels, km.labels, 2).cost == 0.0
 
 
 def test_spectral_k1_all_zero():
-    sp = spectral_cluster(np.arange(5.0), SpectralConfig(k=1))
+    sp = spectral_cluster(np.arange(5.0), 1)
     assert sp.labels.tolist() == [0] * 5
 
 
@@ -305,9 +305,9 @@ def test_spectral_row_permutation_invariance():
     pts = np.vstack(
         [rng.normal(0, 0.1, (6, 2)), rng.normal(8, 0.1, (5, 2)), rng.normal(20, 0.1, (7, 2))]
     )
-    base = spectral_cluster(pts, SpectralConfig(k=3, kmeans=KMeansConfig(k=3, seed=4)))
+    base = spectral_cluster(pts, 3, kmeans_cfg=KMeansConfig(seed=4))
     perm = rng.permutation(len(pts))
-    shuffled = spectral_cluster(pts[perm], SpectralConfig(k=3, kmeans=KMeansConfig(k=3, seed=4)))
+    shuffled = spectral_cluster(pts[perm], 3, kmeans_cfg=KMeansConfig(seed=4))
     # undo the shuffle and compare as partitions
     unshuffled = np.empty_like(shuffled.labels)
     unshuffled[perm] = shuffled.labels
@@ -317,7 +317,7 @@ def test_spectral_row_permutation_invariance():
 def test_spectral_normalized_variant_runs():
     pts = np.array([0.0, 0.1, 9.0, 9.1])
     sp = spectral_cluster(
-        pts, SpectralConfig(k=2, laplacian="symmetric_normalized", kmeans=KMeansConfig(k=2, seed=2))
+        pts, 2, SpectralConfig(laplacian="symmetric_normalized"), KMeansConfig(seed=2)
     )
     assert best_permutation_dissimilarity(sp.labels, [0, 0, 1, 1], 2).cost == 0.0
 

@@ -145,13 +145,17 @@ def test_load_features_missing_value(tmp_path):
         ("epicurves", "nan", "non-finite value nan"),
         ("epicurves", "-inf", "non-finite value -inf"),
         ("epicurves", "-3", "negative count -3.0"),
+        ("epicurves", None, "duplicate region: {region!r}"),
         ("populations", "2.5", "non-integer population '2.5'"),
         ("populations", "9" * 20, f"population '{'9' * 20}' out of range"),
+        ("populations", "0", "non-positive population 0 for region {region!r}"),
+        ("populations", "-5", "non-positive population -5 for region {region!r}"),
         ("features", None, "duplicate region: {region!r}"),
         ("populations", None, "duplicate region: {region!r}"),
     ],
-    ids=["epi_text", "epi_empty", "epi_nan", "epi_inf", "epi_negative",
-         "pop_fraction", "pop_overflow", "feat_duplicate", "pop_duplicate"],
+    ids=["epi_text", "epi_empty", "epi_nan", "epi_inf", "epi_negative", "epi_duplicate",
+         "pop_fraction", "pop_overflow", "pop_zero", "pop_negative", "feat_duplicate",
+         "pop_duplicate"],
 )
 def test_bad_cell_named_at_its_row_and_column(tmp_path, table, cell, problem):
     """One bad cell (None: a region name copied from another row) at random places."""
@@ -203,9 +207,9 @@ def test_split_windows_counts_and_coverage():
     assert len(windows) == 4
     stitched = np.hstack([w.values for w in windows])
     assert np.array_equal(stitched, m.values)
-    assert windows[0].start_date == m.dates[0]
-    assert windows[3].end_date == m.dates[119]
-    assert [w.index for w in windows] == [0, 1, 2, 3]
+    assert windows[0].dates[0] == m.dates[0]
+    assert windows[3].dates[-1] == m.dates[119]
+    assert [w.dates for w in windows] == [m.dates[lo : lo + 30] for lo in (0, 30, 60, 90)]
 
 
 def test_split_windows_exact_division_no_warning(recwarn):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from epiclust.align import BalanceDiagnostic
-from epiclust.cluster import KMeansConfig
 from epiclust.ingest import EpicurveMatrix, FeatureTable, split_windows
 from epiclust.align import best_permutation_dissimilarity
 from epiclust.pipeline import (
@@ -55,13 +54,13 @@ def test_planted_three_cluster_structure_stable_for_spectral():
     from epiclust.cluster import SpectralConfig, spectral_cluster
 
     fix = generate_fixture(25, 120, 3, seed=0)
-    cfg = SpectralConfig(k=3, sigma=200.0)
+    cfg = SpectralConfig(sigma=200.0)
     (r,) = temporal_stability(fix.epicurves, ["none"], ["spectral"], 3, spectral_cfg=cfg)
     off = r.costs[~np.eye(4, dtype=bool)]
     assert np.all(off == 0.0)
     assert r.degenerate_windows == 0
     for w in split_windows(fix.epicurves):
-        sp = spectral_cluster(w.values, cfg)
+        sp = spectral_cluster(w.values, 3, cfg)
         assert best_permutation_dissimilarity(sp.labels, fix.planted_labels, 3).cost == 0.0
         assert sp.suggested_k == 3  # eigengap sees the three components
 
@@ -154,7 +153,7 @@ def test_feature_matching_epidemic_clusters_has_zero_sm1():
     windows = split_windows(fix.epicurves)
     from epiclust.cluster import kmeans
 
-    epi = kmeans(windows[0].values, KMeansConfig(k=3))
+    epi = kmeans(windows[0].values, 3)
     # feature equal to the epidemic cluster mean of each region
     means = {c: windows[0].values[epi.labels == c].mean() for c in range(3)}
     feature = FeatureTable(

@@ -5,7 +5,7 @@ import datetime
 import numpy as np
 import pytest
 
-from epiclust.ingest import EpicurveMatrix, IngestError, split_windows
+from epiclust.ingest import EpicurveMatrix, IngestError
 from epiclust.preprocess import (
     PREPROCESS_KINDS,
     apply_preprocess,
@@ -123,14 +123,6 @@ def test_all_techniques_preserve_metadata():
         assert out.region_names == m.region_names
         assert out.dates == m.dates
         assert np.array_equal(out.populations, m.populations)
-
-
-def test_apply_preprocess_on_window():
-    m = matrix(np.arange(40, dtype=float).reshape(2, 20) + 1)
-    w = split_windows(m, 10)[1]
-    out = apply_preprocess(w, "minmax_row")
-    assert out.index == 1 and out.start_date == w.start_date
-    assert np.allclose(out.values, w.values / w.values.max(axis=1, keepdims=True))
 
 
 def test_apply_preprocess_unknown_kind():

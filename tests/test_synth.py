@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from epiclust.cluster import KMeansConfig, cluster_scalar_feature, kmeans
+from epiclust.cluster import cluster_scalar_feature, kmeans
 from epiclust.align import best_permutation_dissimilarity
 from epiclust.ingest import load_epicurves, load_features
 from epiclust.synth import generate_fixture, write_fixture
@@ -42,7 +42,7 @@ def test_k_true_one_shares_single_template():
 
 def test_planted_partition_recoverable_from_raw_counts():
     fix = generate_fixture(25, 120, 3, seed=0)
-    km = kmeans(fix.epicurves.values[:, :30], KMeansConfig(k=3))
+    km = kmeans(fix.epicurves.values[:, :30], 3)
     assert best_permutation_dissimilarity(km.labels, fix.planted_labels, 3).cost == 0.0
 
 
