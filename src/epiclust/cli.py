@@ -14,8 +14,13 @@ Subcommands:
 
 All outputs are plain CSV/JSON (plus optional SVG heatmaps rendered without
 any plotting dependency) and are byte-identical across runs for a fixed
-config and seed. Exit status: 0 on success, 2 for unreadable or invalid
-input files, 1 for any other pipeline failure.
+config and seed.
+
+A study subcommand declares only the flags it reads, the one schema of its
+settings: a ``--config`` JSON file may set any but the input files and
+``--heatmap`` (solver controls in its ``kmeans``/``spectral`` sections), each
+value passes its flag's type and choices, and explicit flags win. Exit status:
+0 on success, 2 for a usage error or an invalid input or config file, else 1.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,100 +48,6 @@ from .synth import generate_fixture, write_fixture
 
 SCHEMA_VERSION = "1"
 ASSOCIATION_HEADER = ["feature", "window", "sm1", "sm2_mean", "sm2_std", "deviation"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved knobs for one command invocation."""
-
-    window_len: int
-    k: int
-    preps: tuple[str, ...]
-    algos: tuple[str, ...]
-    kmeans: KMeansConfig
-    spectral: SpectralConfig
-    trials: int
-    balance_threshold: float
-    metric: str
-    prep_scope: str
-    baseline_mode: str
-    out_dir: Path
-    heatmap: bool
-
-
-# keys a JSON config file may set, at the top level and in its two sections
-CONFIG_KEYS = {
-    "": {"algo", "balance_threshold", "baseline_mode", "k", "kmeans", "metric", "out",
-         "prep", "prep_scope", "seed", "spectral", "trials", "window_len"},
-    "kmeans": {"epsilon", "max_iters", "restarts"},
-    "spectral": {"laplacian", "sigma"},
-}
-
-
-def _load_config_file(path):
-    if path is None:
-        return {}
-    data = json.loads(Path(path).read_text())
-    for section, known in CONFIG_KEYS.items():
-        table = data.get(section, {}) if section else data
-        where = f"config section {section!r}" if section else "config"
-        if not isinstance(table, dict):
-            raise IngestError(f"{path}: {where} must be a JSON object")
-        unknown = sorted(set(table) - known)
-        if unknown:
-            raise IngestError(
-                f"{path}: unknown {where} key {', '.join(map(repr, unknown))}; "
-                f"expected one of {', '.join(sorted(known))}"
-            )
-    return data
-
-
-def _pick(args, cfg_file, key, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return cfg_file.get(key, default)
-
-
-def _technique_names(args, cfg_file, key, default, one):
-    """The names a comma-separated --prep/--algo value lists; exactly one if ``one``."""
-    text = _pick(args, cfg_file, key, None)
-    if text is None:
-        return default[:1] if one else default
-    names = tuple(n.strip() for n in text.split(",") if n.strip())
-    if one and len(names) != 1:
-        raise IngestError(f"--{key} takes exactly one name for this subcommand, got {text!r}")
-    return names
-
-
-def _build_config(args, one_technique=False) -> RunConfig:
-    cfg_file = _load_config_file(getattr(args, "config", None))
-    km_file = cfg_file.get("kmeans", {})
-    sp_file = cfg_file.get("spectral", {})
-    km = KMeansConfig(
-        epsilon=float(_pick(args, km_file, "epsilon", 1e-6)),
-        max_iters=int(_pick(args, km_file, "max_iters", 300)),
-        restarts=int(_pick(args, km_file, "restarts", 10)),
-        seed=int(_pick(args, cfg_file, "seed", 0)),
-    )
-    sigma = _pick(args, sp_file, "sigma", "median")
-    if sigma != "median":
-        sigma = float(sigma)
-    return RunConfig(
-        window_len=int(_pick(args, cfg_file, "window_len", 30)),
-        k=int(_pick(args, cfg_file, "k", 3)),
-        preps=_technique_names(args, cfg_file, "prep", PREPROCESS_KINDS, one_technique),
-        algos=_technique_names(args, cfg_file, "algo", ("spectral", "kmeans"), one_technique),
-        kmeans=km,
-        spectral=SpectralConfig(sigma, _pick(args, sp_file, "laplacian", "unnormalized")),
-        trials=int(_pick(args, cfg_file, "trials", 100)),
-        balance_threshold=float(_pick(args, cfg_file, "balance_threshold", 0.8)),
-        metric=_pick(args, cfg_file, "metric", "squared"),
-        prep_scope=_pick(args, cfg_file, "prep_scope", "per_window"),
-        baseline_mode=_pick(args, cfg_file, "baseline_mode", "uniform"),
-        out_dir=Path(_pick(args, cfg_file, "out", ".")),
-        heatmap=bool(getattr(args, "heatmap", False)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,38 +140,51 @@ def _write_json(payload, path) -> None:
 # subcommands
 
 
+def _solver_configs(args):
+    """The k-means and spectral configs that the solver flags describe."""
+    km = KMeansConfig(args.epsilon, args.max_iters, args.restarts, args.seed)
+    return km, SpectralConfig(args.sigma, args.laplacian)
+
+
+def _technique(args):
+    """The one (prep, algo) pair that ``cluster`` and ``associate`` run."""
+    for flag, names in (("--prep", args.prep), ("--algo", args.algo)):
+        if len(names) != 1:
+            raise IngestError(f"{flag} takes exactly one name for this subcommand, got {names}")
+    return args.prep[0], args.algo[0]
+
+
 def cmd_synth(args) -> int:
     fixture = generate_fixture(
         n_regions=args.regions,
         n_days=args.days,
         k_true=args.k_true,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         n_correlated=args.correlated,
         n_noise=args.noise,
     )
-    paths = write_fixture(fixture, args.out if args.out is not None else ".")
+    paths = write_fixture(fixture, args.out)
     for name in ("epicurves", "populations", "features", "truth"):
         print(paths[name])
     return 0
 
 
 def cmd_cluster(args) -> int:
-    cfg = _build_config(args, one_technique=True)
+    prep, algo = _technique(args)
     m = load_epicurves(args.input, args.populations)
-    prep, algo = cfg.preps[0], cfg.algos[0]
     points = apply_preprocess(m, prep).values
-    assignment = _cluster_window(points, algo, cfg.k, cfg.kmeans, cfg.spectral)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    labels_path = cfg.out_dir / "labels.csv"
+    assignment = _cluster_window(points, algo, args.k, *_solver_configs(args))
+    args.out.mkdir(parents=True, exist_ok=True)
+    labels_path = args.out / "labels.csv"
     _write_table(labels_path, ["region", "label"], m.region_names, assignment.labels[:, None])
-    diag = balance_check(assignment, cfg.balance_threshold)
+    diag = balance_check(assignment, args.balance_threshold)
     _write_json(
         {
             "schema_version": SCHEMA_VERSION,
             "prep": prep,
             "algorithm": algo,
-            "k": cfg.k,
-            "seed": cfg.kmeans.seed,
+            "k": args.k,
+            "seed": args.seed,
             "labels": {
                 name: int(label)
                 for name, label in zip(m.region_names, assignment.labels)
@@ -271,43 +194,37 @@ def cmd_cluster(args) -> int:
             "balanced": diag.balanced,
             "largest_fraction": diag.largest_fraction,
         },
-        cfg.out_dir / "clusters.json",
+        args.out / "clusters.json",
     )
     print(labels_path)
-    print(cfg.out_dir / "clusters.json")
+    print(args.out / "clusters.json")
     return 0
 
 
 def cmd_stability(args) -> int:
-    cfg = _build_config(args)
     m = load_epicurves(args.input, args.populations)
     results = temporal_stability(
-        m,
-        cfg.preps,
-        cfg.algos,
-        cfg.k,
-        cfg.kmeans,
-        cfg.spectral,
-        window_len=cfg.window_len,
-        metric=cfg.metric,
-        balance_threshold=cfg.balance_threshold,
-        prep_scope=cfg.prep_scope,
+        m, args.prep, args.algo, args.k, *_solver_configs(args),
+        window_len=args.window_len,
+        metric=args.metric,
+        balance_threshold=args.balance_threshold,
+        prep_scope=args.prep_scope,
     )
     selected = select_technique(results)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     window_labels = [f"w{i}" for i in range(results[0].window_count)]
     techniques = []
     for r in results:
         csv_name = f"stability_{r.prep}_{r.algorithm}.csv"
         write_matrix_csv(
-            r.costs, window_labels, window_labels, cfg.out_dir / csv_name, corner="window"
+            r.costs, window_labels, window_labels, args.out / csv_name, corner="window"
         )
-        if cfg.heatmap:
+        if args.heatmap:
             svg_heatmap(
                 r.costs,
                 window_labels,
                 window_labels,
-                cfg.out_dir / f"stability_{r.prep}_{r.algorithm}.svg",
+                args.out / f"stability_{r.prep}_{r.algorithm}.svg",
                 title=f"{r.prep} / {r.algorithm} cross-window dissimilarity",
             )
         techniques.append(
@@ -326,45 +243,39 @@ def cmd_stability(args) -> int:
     _write_json(
         {
             "schema_version": SCHEMA_VERSION,
-            "k": cfg.k,
-            "window_len": cfg.window_len,
-            "metric": cfg.metric,
-            "seed": cfg.kmeans.seed,
-            "balance_threshold": cfg.balance_threshold,
-            "prep_scope": cfg.prep_scope,
+            "k": args.k,
+            "window_len": args.window_len,
+            "metric": args.metric,
+            "seed": args.seed,
+            "balance_threshold": args.balance_threshold,
+            "prep_scope": args.prep_scope,
             "selected": {"prep": selected[0], "algorithm": selected[1]},
             "techniques": techniques,
         },
-        cfg.out_dir / "summary.json",
+        args.out / "summary.json",
     )
-    print(cfg.out_dir / "summary.json")
+    print(args.out / "summary.json")
     return 0
 
 
 def cmd_associate(args) -> int:
-    cfg = _build_config(args, one_technique=True)
+    chosen = _technique(args)
     m = load_epicurves(args.input, args.populations)
     if args.features is None:
         raise IngestError("associate requires --features")
     table = load_features(args.features, m)
-    chosen = (cfg.preps[0], cfg.algos[0])
     report = feature_association(
-        m,
-        table,
-        chosen,
-        cfg.k,
-        cfg.kmeans,
-        cfg.spectral,
-        trials=cfg.trials,
-        seed=cfg.kmeans.seed,
-        window_len=cfg.window_len,
-        metric=cfg.metric,
-        balance_threshold=cfg.balance_threshold,
-        prep_scope=cfg.prep_scope,
-        baseline_mode=cfg.baseline_mode,
+        m, table, chosen, args.k, *_solver_configs(args),
+        trials=args.trials,
+        seed=args.seed,
+        window_len=args.window_len,
+        metric=args.metric,
+        balance_threshold=args.balance_threshold,
+        prep_scope=args.prep_scope,
+        baseline_mode=args.baseline_mode,
     )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.out_dir / "association.csv"
+    args.out.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out / "association.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ASSOCIATION_HEADER)
@@ -385,10 +296,10 @@ def cmd_associate(args) -> int:
             "prep": report.prep,
             "algorithm": report.algorithm,
             "k": report.k,
-            "metric": cfg.metric,
-            "trials": cfg.trials,
-            "seed": cfg.kmeans.seed,
-            "baseline_mode": cfg.baseline_mode,
+            "metric": args.metric,
+            "trials": args.trials,
+            "seed": args.seed,
+            "baseline_mode": args.baseline_mode,
             "window_count": report.window_count,
             "epidemic_labels": [list(labels) for labels in report.epidemic_labels],
             "cells": [
@@ -407,9 +318,9 @@ def cmd_associate(args) -> int:
                 for c in report.cells
             ],
         },
-        cfg.out_dir / "association.json",
+        args.out / "association.json",
     )
-    if cfg.heatmap:
+    if args.heatmap:
         deviations = np.array(
             [
                 [report.cell(f, w).baseline.deviation for w in range(report.window_count)]
@@ -420,11 +331,11 @@ def cmd_associate(args) -> int:
             deviations,
             list(report.feature_names),
             [f"w{i}" for i in range(report.window_count)],
-            cfg.out_dir / "association_deviation.svg",
+            args.out / "association_deviation.svg",
             title="deviation of dissimilarity from the random baseline",
         )
     print(csv_path)
-    print(cfg.out_dir / "association.json")
+    print(args.out / "association.json")
     return 0
 
 
@@ -432,43 +343,101 @@ def cmd_associate(args) -> int:
 # argument parsing
 
 
-def _add_common(p, *, features=False, multi_technique=False):
+def _names(choices):
+    """An argparse type: a comma-separated list of names drawn from ``choices``."""
+    def names(text):
+        picked = tuple(n.strip() for n in text.split(",") if n.strip())
+        if not picked or not set(picked) <= set(choices):
+            raise argparse.ArgumentTypeError(f"{text!r}: expected names from {', '.join(choices)}")
+        return picked
+    return names
+
+
+def _sigma(text):
+    """An argparse type: the RBF bandwidth, a number or 'median'."""
+    return text if text == "median" else float(text)
+
+
+def _add_study_flags(p, command):
+    """Declare on ``p`` the flags ``command`` reads; return its config schema.
+
+    The schema maps each config key to its flag's argparse action; the
+    ``kmeans`` and ``spectral`` sections map to the same for their keys.
+    """
+    windowed, associate, many = command != "cluster", command == "associate", command == "stability"
     p.add_argument("--input", required=True, help="epicurve CSV (region,<ISO dates...>)")
     p.add_argument("--populations", help="population CSV (region,population)")
-    if features:
+    if associate:
         p.add_argument("--features", help="feature CSV (region,<feature names...>)")
-    p.add_argument("--window-len", dest="window_len", type=int, help="days per window (default 30)")
-    p.add_argument("--k", type=int, help="number of clusters (default 3)")
-    if multi_technique:
-        p.add_argument(
-            "--prep",
-            help=f"comma-separated preprocessing list (default all: {','.join(PREPROCESS_KINDS)})",
-        )
-        p.add_argument("--algo", help="comma-separated algorithm list (default spectral,kmeans)")
-    else:
-        p.add_argument("--prep", help=f"preprocessing technique (one of {', '.join(PREPROCESS_KINDS)})")
-        p.add_argument("--algo", help=f"clustering algorithm (one of {', '.join(ALGORITHMS)})")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials (default 100)")
-    p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
-    p.add_argument("--metric", choices=METRICS, help="alignment cost metric (default squared)")
-    p.add_argument(
-        "--balance-threshold",
-        dest="balance_threshold",
-        type=float,
-        help="largest-cluster fraction that flags a degenerate clustering (default 0.8)",
-    )
-    p.add_argument("--epsilon", type=float, help="k-means convergence threshold (default 1e-6)")
-    p.add_argument("--max-iters", dest="max_iters", type=int, help="k-means iteration cap (default 300)")
-    p.add_argument("--restarts", type=int, help="k-means restarts (default 10)")
-    p.add_argument("--sigma", help="RBF bandwidth, a number or 'median' (default median)")
-    p.add_argument("--laplacian", choices=LAPLACIAN_KINDS, help="Laplacian variant (default unnormalized)")
-    p.add_argument("--prep-scope", dest="prep_scope", choices=PREP_SCOPES,
-                   help="apply preprocessing per window or to the full series (default per_window)")
-    p.add_argument("--baseline-mode", dest="baseline_mode", choices=("uniform", "shuffle"),
-                   help="random-label generation for the null (default uniform)")
     p.add_argument("--config", help="JSON config file; CLI flags override its keys")
-    p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--heatmap", action="store_true", help="also emit SVG heatmaps")
+    schema, km, sp = {"kmeans": {}, "spectral": {}}, KMeansConfig(), SpectralConfig()
+
+    def setting(table, *flags, help, **kw):
+        action = p.add_argument(*flags, help=f"{help} (default %(default)s)", **kw)
+        table[action.dest] = action
+
+    listed = "a comma-separated list of" if many else "one of"
+    setting(schema, "--prep", type=_names(PREPROCESS_KINDS),
+            default=",".join(PREPROCESS_KINDS) if many else "none",
+            help=f"preprocessing, {listed} {', '.join(PREPROCESS_KINDS)}")
+    setting(schema, "--algo", type=_names(ALGORITHMS),
+            default="spectral,kmeans" if many else "spectral",
+            help=f"clustering algorithm, {listed} {', '.join(ALGORITHMS)}")
+    setting(schema, "--k", type=int, default=3, help="number of clusters")
+    setting(schema, "--seed", type=int, default=km.seed, help="master RNG seed")
+    setting(schema, "--balance-threshold", type=float, default=0.8,
+            help="largest-cluster fraction that flags a degenerate clustering")
+    if windowed:
+        setting(schema, "--window-len", type=int, default=30, help="days per window")
+        setting(schema, "--metric", choices=METRICS, default="squared", help="alignment metric")
+        setting(schema, "--prep-scope", choices=PREP_SCOPES, default="per_window",
+                help="apply preprocessing per window or to the full series")
+        p.add_argument("--heatmap", action="store_true", help="also emit SVG heatmaps")
+    if associate:
+        setting(schema, "--trials", type=int, default=100, help="Monte Carlo trials")
+        setting(schema, "--baseline-mode", choices=("uniform", "shuffle"), default="uniform",
+                help="random-label generation for the null")
+    setting(schema, "--out", type=Path, default=".", help="output directory")
+    setting(schema["kmeans"], "--epsilon", type=float, default=km.epsilon,
+            help="k-means convergence threshold")
+    setting(schema["kmeans"], "--max-iters", type=int, default=km.max_iters,
+            help="k-means iteration cap")
+    setting(schema["kmeans"], "--restarts", type=int, default=km.restarts, help="k-means restarts")
+    setting(schema["spectral"], "--sigma", type=_sigma, default=sp.sigma,
+            help="RBF bandwidth, a number or 'median'")
+    setting(schema["spectral"], "--laplacian", choices=LAPLACIAN_KINDS, default=sp.laplacian,
+            help="Laplacian variant")
+    return schema
+
+
+def _apply_config(path, table, schema, where="config"):
+    """Make each key of a parsed JSON config the default of the flag that declares it.
+
+    A value is checked as if it were given on the command line: it must be a
+    string or a number, and it passes through the flag's type and choices.
+    """
+    if not isinstance(table, dict):
+        raise IngestError(f"{path}: {where} must be a JSON object")
+    unknown = sorted(set(table) - set(schema))
+    if unknown:
+        raise IngestError(
+            f"{path}: unknown {where} key {', '.join(map(repr, unknown))}; "
+            f"expected one of {', '.join(sorted(schema))}"
+        )
+    for key, value in table.items():
+        action = schema[key]
+        if isinstance(action, dict):
+            _apply_config(path, value, action, f"config section {key!r}")
+            continue
+        try:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError(f"expected a string or a number, got {value!r}")
+            value = (action.type or str)(str(value))
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{value!r} is not one of {', '.join(action.choices)}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise IngestError(f"{path}: {where} key {key!r}: {exc}") from None
+        action.default = value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,23 +458,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("cluster", help="cluster regions on their full epicurves")
-    _add_common(p)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("stability", help="cross-window stability of every technique pair")
-    _add_common(p, multi_technique=True)
-    p.set_defaults(func=cmd_stability)
-
-    p = sub.add_parser("associate", help="feature association against epidemic clusters")
-    _add_common(p, features=True)
-    p.set_defaults(func=cmd_associate)
+    for command, func, summary in (
+        ("cluster", cmd_cluster, "cluster regions on their full epicurves"),
+        ("stability", cmd_stability, "cross-window stability of every technique pair"),
+        ("associate", cmd_associate, "feature association against epidemic clusters"),
+    ):
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(func=func, config_schema=_add_study_flags(p, command))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None) is not None:
+            try:
+                data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise IngestError(f"{args.config}: not a valid JSON config: {exc}") from None
+            _apply_config(args.config, data, args.config_schema)
+            args = parser.parse_args(argv)  # explicit flags still win
         return args.func(args)
     except (IngestError, FileNotFoundError, OSError) as exc:
         print(f"epiclust: error: {exc}", file=sys.stderr)

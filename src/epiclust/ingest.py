@@ -205,9 +205,11 @@ def _bad_cell(path, column, header, row, i, out) -> IngestError:
 
 
 def _row_of(path, names) -> dict:
-    """Map each region name to its data row; a name given twice is an error."""
+    """Map each region name to its data row; an empty or repeated name is an error."""
     row_of = {}
     for i, name in enumerate(names):
+        if not name:
+            raise _cell_error(path, i + 2, 1, "empty region name")
         if row_of.setdefault(name, i) != i:
             raise _cell_error(path, i + 2, 1, f"duplicate region: {name!r}")
     return row_of
@@ -248,7 +250,7 @@ def load_epicurves(path, population_path=None) -> EpicurveMatrix:
                 f"{path}: header column {j} is not an ISO date: {cell!r}"
             ) from None
     _reject_cells(path, values < 0, lambda r, c: f"negative count {values[r, c]}")
-    _row_of(path, names)  # a duplicate region fails here, named by its row
+    _row_of(path, names)  # an empty or duplicate region fails here, named by its row
 
     populations = None
     if population_path is not None:

@@ -1,12 +1,16 @@
 """Subcommand file contracts, exit codes, determinism, and report re-parsing."""
 
+import inspect
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from epiclust.cli import main, read_association_csv, read_matrix_csv
+from epiclust.cli import build_parser, main, read_association_csv, read_matrix_csv
+from epiclust.cluster import KMeansConfig, SpectralConfig
 from epiclust.ingest import load_epicurves, load_features
+from epiclust.pipeline import feature_association, temporal_stability
 
 
 @pytest.fixture(scope="module")
@@ -167,8 +171,9 @@ def test_config_file_overridden_by_flags(fixture_dir, tmp_path):
         ({"windowlen": 7}, "config key 'windowlen'"),
         ({"kmeans": {"restarts": 3, "seed": 1}}, "config section 'kmeans' key 'seed'"),
         ({"spectral": {"sigma": 2.0, "lap": "unnormalized"}}, "config section 'spectral' key 'lap'"),
+        ({"trials": 5}, "config key 'trials'"),
     ],
-    ids=["top_level", "kmeans", "spectral"],
+    ids=["top_level", "kmeans", "spectral", "flag_of_another_subcommand"],
 )
 def test_unknown_config_key_exits_2(fixture_dir, tmp_path, capsys, config, named):
     cfg = tmp_path / "cfg.json"
@@ -213,3 +218,113 @@ def test_k_zero_exits_1(fixture_dir, tmp_path, capsys, command):
     assert code == 1
     assert "k must be positive, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"k": "abc"}', "config key 'k'"),
+        ('{"k": 2.7}', "config key 'k'"),
+        ('{"metric": "bogus"}', "config key 'metric'"),
+        ('{"prep_scope": "bogus"}', "config key 'prep_scope'"),
+        ('{"prep": ["none"]}', "config key 'prep'"),
+        ('{"kmeans": {"restarts": true}}', "config section 'kmeans' key 'restarts'"),
+        ('{"k": 3,}', "cfg.json: not a valid JSON config"),
+    ],
+    ids=["k_text", "k_fraction", "metric", "prep_scope", "prep_list", "restarts_bool", "not_json"],
+)
+def test_bad_config_value_exits_2(fixture_dir, tmp_path, capsys, text, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    code = run(["stability", "--input", fixture_dir / "epicurves.csv",
+                "--config", cfg, "--out", out])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("stability", {"window_len": 40, "k": 2, "prep": "none,zscore", "algo": "spectral,kmeans",
+                       "seed": 3, "metric": "mismatch", "balance_threshold": 0.9,
+                       "prep_scope": "full_series",
+                       "kmeans": {"epsilon": 1e-5, "max_iters": 50, "restarts": 2},
+                       "spectral": {"sigma": 250.0, "laplacian": "symmetric_normalized"}}),
+        ("associate", {"window_len": 60, "k": 2, "prep": "zscore", "algo": "kmeans", "trials": 20,
+                       "seed": 4, "baseline_mode": "shuffle", "kmeans": {"restarts": 3}}),
+        ("cluster", {"k": 4, "prep": "minmax_row", "algo": "spectral", "seed": 1,
+                     "spectral": {"sigma": "median", "laplacian": "symmetric_normalized"}}),
+    ],
+)
+def test_config_file_writes_what_the_same_flags_write(fixture_dir, tmp_path, command, settings):
+    """Each config key reaches the setting of the flag that declares it."""
+    flat = {**settings, **settings.get("kmeans", {}), **settings.get("spectral", {})}
+    flags = [arg for key, value in flat.items() if key not in ("kmeans", "spectral")
+             for arg in (f"--{key.replace('_', '-')}", str(value))]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**settings, "out": str(tmp_path / "from_config")}))
+    inputs = ["--input", fixture_dir / "epicurves.csv",
+              "--populations", fixture_dir / "populations.csv"]
+    if command == "associate":
+        inputs += ["--features", fixture_dir / "features.csv"]
+    assert run([command, *inputs, "--config", cfg]) == 0
+    assert run([command, *inputs, *flags, "--out", tmp_path / "from_flags"]) == 0
+    names = sorted(p.name for p in (tmp_path / "from_config").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "from_flags").iterdir())
+    for name in names:
+        assert (tmp_path / "from_config" / name).read_bytes() == (
+            tmp_path / "from_flags" / name
+        ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("cluster", ["--window-len", "7"]),
+        ("cluster", ["--trials", "5"]),
+        ("cluster", ["--metric", "mismatch"]),
+        ("cluster", ["--prep-scope", "full_series"]),
+        ("cluster", ["--baseline-mode", "shuffle"]),
+        ("cluster", ["--heatmap"]),
+        ("stability", ["--trials", "5"]),
+        ("stability", ["--baseline-mode", "shuffle"]),
+        ("stability", ["--sigma", "wide"]),
+        ("stability", ["--prep", ","]),
+        ("stability", ["--algo", "kmeans,bogus"]),
+        ("associate", ["--prep", " "]),
+    ],
+    ids=["cluster_window_len", "cluster_trials", "cluster_metric", "cluster_prep_scope",
+         "cluster_baseline_mode", "cluster_heatmap", "stability_trials",
+         "stability_baseline_mode", "sigma_text", "prep_empty_list", "algo_unknown_name",
+         "associate_prep_blank"],
+)
+def test_usage_error_exits_2_naming_the_flag(fixture_dir, tmp_path, capsys, command, argv):
+    """A flag the subcommand does not declare, or a value its type rejects."""
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--input", fixture_dir / "epicurves.csv", *argv, "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert argv[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "cluster", "stability", "associate"])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: epiclust {command}")
+
+
+@pytest.mark.parametrize(
+    "command, study",
+    [("cluster", None), ("stability", temporal_stability), ("associate", feature_association)],
+)
+def test_parser_defaults_mirror_library_defaults(command, study):
+    args = vars(build_parser().parse_args([command, "--input", "epicurves.csv"]))
+    expected = {**asdict(KMeansConfig()), **asdict(SpectralConfig())}
+    if study is not None:
+        params = inspect.signature(study).parameters.values()
+        expected.update({p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY})
+    assert {key: args[key] for key in expected} == expected

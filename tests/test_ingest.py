@@ -152,13 +152,20 @@ def test_load_features_missing_value(tmp_path):
         ("populations", "-5", "non-positive population -5 for region {region!r}"),
         ("features", None, "duplicate region: {region!r}"),
         ("populations", None, "duplicate region: {region!r}"),
+        ("epicurves", "", "empty region name"),
+        ("populations", "", "empty region name"),
+        ("features", "", "empty region name"),
     ],
     ids=["epi_text", "epi_empty", "epi_nan", "epi_inf", "epi_negative", "epi_duplicate",
          "pop_fraction", "pop_overflow", "pop_zero", "pop_negative", "feat_duplicate",
-         "pop_duplicate"],
+         "pop_duplicate", "epi_empty_name", "pop_empty_name", "feat_empty_name"],
 )
 def test_bad_cell_named_at_its_row_and_column(tmp_path, table, cell, problem):
-    """One bad cell (None: a region name copied from another row) at random places."""
+    """One bad cell at random places.
+
+    ``None`` copies a region name from another row; "empty region name" cases
+    blank a region-name cell.
+    """
     fix = generate_fixture(8, 10, 2, seed=0)
     paths = {name: tmp_path / f"{name}.csv" for name in ("epicurves", "populations", "features")}
     rng = np.random.default_rng(len(problem))
@@ -171,6 +178,9 @@ def test_bad_cell_named_at_its_row_and_column(tmp_path, table, cell, problem):
             first, i = sorted(rng.choice(np.arange(1, len(lines)), size=2, replace=False))
             j = 0
             region = lines[first][0] = lines[i][0]
+        elif problem == "empty region name":
+            i, j = rng.integers(1, len(lines)), 0
+            lines[i][j] = region = cell
         else:
             i, j = rng.integers(1, len(lines)), rng.integers(1, len(lines[0]))
             lines[i][j], region = cell, lines[i][0]
