@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .align import METRICS, balance_check
-from .cluster import ALGORITHMS, LAPLACIAN_KINDS, KMeansConfig, SpectralConfig
+from .cluster import ALGORITHMS, LAPLACIAN_KINDS, KMeansConfig, SpectralConfig, _check_k
 from .ingest import IngestError, _read_table, _write_table, load_epicurves, load_features
 from .pipeline import (
     PREP_SCOPES,
@@ -154,6 +154,23 @@ def _technique(args):
     return args.prep[0], args.algo[0]
 
 
+def _epicurves(args):
+    """Load ``--input`` with ``--populations``; reject a k or a ``--prep`` the
+    regions cannot serve before any clustering starts.
+
+    k is checked first, so a bad k is reported the same way whatever the
+    ``--prep`` list holds.
+    """
+    m = load_epicurves(args.input, args.populations)
+    _check_k(args.k, m.n_regions)
+    if "population" in args.prep and m.populations is None:
+        raise IngestError(
+            "--prep population needs --populations: pass a population file "
+            "or leave population out of --prep"
+        )
+    return m
+
+
 def cmd_synth(args) -> int:
     fixture = generate_fixture(
         n_regions=args.regions,
@@ -171,7 +188,7 @@ def cmd_synth(args) -> int:
 
 def cmd_cluster(args) -> int:
     prep, algo = _technique(args)
-    m = load_epicurves(args.input, args.populations)
+    m = _epicurves(args)
     points = apply_preprocess(m, prep).values
     assignment = _cluster_window(points, algo, args.k, *_solver_configs(args))
     args.out.mkdir(parents=True, exist_ok=True)
@@ -202,7 +219,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    m = load_epicurves(args.input, args.populations)
+    m = _epicurves(args)
     results = temporal_stability(
         m, args.prep, args.algo, args.k, *_solver_configs(args),
         window_len=args.window_len,
@@ -260,7 +277,7 @@ def cmd_stability(args) -> int:
 
 def cmd_associate(args) -> int:
     chosen = _technique(args)
-    m = load_epicurves(args.input, args.populations)
+    m = _epicurves(args)
     if args.features is None:
         raise IngestError("associate requires --features")
     table = load_features(args.features, m)
@@ -353,9 +370,25 @@ def _names(choices):
     return names
 
 
+def _checked(kind, ok, expected):
+    """An argparse type: ``kind`` of the text, rejected unless ``ok`` holds for it."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: expected {expected}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names the type
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_positive = _checked(float, lambda v: v > 0, "a number > 0")
+_fraction = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+
+
 def _sigma(text):
-    """An argparse type: the RBF bandwidth, a number or 'median'."""
-    return text if text == "median" else float(text)
+    """An argparse type: the RBF bandwidth, a number > 0 or 'median'."""
+    return text if text == "median" else _positive(text)
 
 
 def _add_study_flags(p, command):
@@ -385,24 +418,25 @@ def _add_study_flags(p, command):
             help=f"clustering algorithm, {listed} {', '.join(ALGORITHMS)}")
     setting(schema, "--k", type=int, default=3, help="number of clusters")
     setting(schema, "--seed", type=int, default=km.seed, help="master RNG seed")
-    setting(schema, "--balance-threshold", type=float, default=0.8,
+    setting(schema, "--balance-threshold", type=_fraction, default=0.8,
             help="largest-cluster fraction that flags a degenerate clustering")
     if windowed:
-        setting(schema, "--window-len", type=int, default=30, help="days per window")
+        setting(schema, "--window-len", type=_count, default=30, help="days per window")
         setting(schema, "--metric", choices=METRICS, default="squared", help="alignment metric")
         setting(schema, "--prep-scope", choices=PREP_SCOPES, default="per_window",
                 help="apply preprocessing per window or to the full series")
         p.add_argument("--heatmap", action="store_true", help="also emit SVG heatmaps")
     if associate:
-        setting(schema, "--trials", type=int, default=100, help="Monte Carlo trials")
+        setting(schema, "--trials", type=_count, default=100, help="Monte Carlo trials")
         setting(schema, "--baseline-mode", choices=("uniform", "shuffle"), default="uniform",
                 help="random-label generation for the null")
     setting(schema, "--out", type=Path, default=".", help="output directory")
-    setting(schema["kmeans"], "--epsilon", type=float, default=km.epsilon,
+    setting(schema["kmeans"], "--epsilon", type=_positive, default=km.epsilon,
             help="k-means convergence threshold")
-    setting(schema["kmeans"], "--max-iters", type=int, default=km.max_iters,
+    setting(schema["kmeans"], "--max-iters", type=_count, default=km.max_iters,
             help="k-means iteration cap")
-    setting(schema["kmeans"], "--restarts", type=int, default=km.restarts, help="k-means restarts")
+    setting(schema["kmeans"], "--restarts", type=_count, default=km.restarts,
+            help="k-means restarts")
     setting(schema["spectral"], "--sigma", type=_sigma, default=sp.sigma,
             help="RBF bandwidth, a number or 'median'")
     setting(schema["spectral"], "--laplacian", choices=LAPLACIAN_KINDS, default=sp.laplacian,

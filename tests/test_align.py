@@ -6,22 +6,30 @@ import numpy as np
 import pytest
 
 from epiclust.align import (
+    BaselineResult,
     balance_check,
     best_permutation_dissimilarity,
     random_baseline,
 )
 
 
-def brute_force_cost(a, b, k, metric="squared"):
-    """Independent re-derivation: scan all k! bijections with plain loops."""
-    best = float("inf")
+def brute_force_alignment(a, b, k, metric="squared"):
+    """Independent re-derivation: scan all k! bijections in lexicographic
+    order with plain loops; return the first cheapest one as (cost,
+    permutation, mismatch_rate)."""
+    best = (float("inf"), None, None)
     for perm in itertools.permutations(range(k)):
         if metric == "squared":
             cost = sum((perm[x] - y) ** 2 for x, y in zip(a, b)) / len(a)
         else:
             cost = sum(perm[x] != y for x, y in zip(a, b)) / len(a)
-        best = min(best, cost)
+        if cost < best[0]:
+            best = (cost, perm, sum(perm[x] != y for x, y in zip(a, b)) / len(a))
     return best
+
+
+def brute_force_cost(a, b, k, metric="squared"):
+    return brute_force_alignment(a, b, k, metric)[0]
 
 
 def test_identical_labelings_cost_zero():
@@ -48,6 +56,50 @@ def test_oracle_equivalence_random_pairs():
         for metric in ("squared", "mismatch"):
             got = best_permutation_dissimilarity(a, b, k, metric).cost
             assert got == brute_force_cost(a.tolist(), b.tolist(), k, metric)
+
+
+@pytest.mark.parametrize("metric", ["squared", "mismatch"])
+def test_search_matches_oracle_bit_for_bit(metric):
+    """Cost, tie-broken permutation and mismatch rate all equal the k! scan,
+    on random, identical and constant labelings (the last two full of ties)."""
+    rng = np.random.default_rng(41)
+    for k in range(1, 8):
+        for case in range(40 if k < 7 else 8):
+            n = int(rng.integers(1, 13))
+            a, b = rng.integers(0, k, n), rng.integers(0, k, n)
+            if case % 4 == 1:
+                b = a.copy()
+            elif case % 4 == 2:
+                a = np.full(n, int(rng.integers(0, k)))
+            elif case % 4 == 3:
+                a, b = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+            r = best_permutation_dissimilarity(a, b, k, metric)
+            assert (r.cost, r.permutation, r.mismatch_rate) == brute_force_alignment(
+                a.tolist(), b.tolist(), k, metric
+            )
+
+
+@pytest.mark.parametrize("k", [9, 10, 11, 12])
+def test_search_cost_matches_linear_sum_assignment(k):
+    """Above the sizes a k! scan can check, the optimum equals a Hungarian
+    solve of the same k x k cost matrix."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(k)
+    labels = np.arange(k)
+    for _ in range(5):
+        n = int(rng.integers(k, 200))
+        a, b = rng.integers(0, k, n), rng.integers(0, k, n)
+        table = np.zeros((k, k), dtype=np.int64)
+        np.add.at(table, (a, b), 1)
+        for metric, costs in (
+            ("squared", table @ (labels[None, :] - labels[:, None]) ** 2),
+            ("mismatch", table.sum(axis=1, keepdims=True) - table),
+        ):
+            rows, cols = optimize.linear_sum_assignment(costs)
+            r = best_permutation_dissimilarity(a, b, k, metric)
+            assert r.cost == int(costs[rows, cols].sum()) / n
+            assert sorted(r.permutation) == list(range(k))
+            assert int(costs[labels, list(r.permutation)].sum()) / n == r.cost
 
 
 def test_relabeling_invariance():
@@ -100,8 +152,8 @@ def test_alignment_errors():
         best_permutation_dissimilarity([0, 1], [0], 2)
     with pytest.raises(ValueError, match="must lie in"):
         best_permutation_dissimilarity([0, 2], [0, 1], 2)
-    with pytest.raises(ValueError, match=r"k=9 is unsupported: .* limited to k <= 8$"):
-        best_permutation_dissimilarity([0] * 5, [0] * 5, 9)
+    with pytest.raises(ValueError, match=r"k=13 is unsupported: .* limited to k <= 12$"):
+        best_permutation_dissimilarity([0] * 5, [0] * 5, 13)
     with pytest.raises(ValueError, match="non-empty"):
         best_permutation_dissimilarity([], [], 2)
     with pytest.raises(ValueError, match="unknown metric"):
@@ -153,6 +205,24 @@ def test_baseline_mean_std_match_manual_recompute():
     r = random_baseline(b, 2, trials=25, seed=9)
     assert r.sm2_mean == np.mean(costs)
     assert r.sm2_std == np.std(costs)  # population std
+
+
+@pytest.mark.parametrize("metric", ["squared", "mismatch"])
+@pytest.mark.parametrize("mode", ["uniform", "shuffle"])
+def test_baseline_equals_per_trial_loop(mode, metric):
+    """The batched null returns what aligning one drawn labeling at a time
+    with the k! scan returns, field for field."""
+    rng = np.random.default_rng(53)
+    for k in (1, 2, 3, 4):
+        b = rng.integers(0, k, int(rng.integers(1, 16)))
+        costs = []
+        for t in range(20):
+            draw = np.random.default_rng([6, t])
+            drawn = draw.integers(0, k, b.size) if mode == "uniform" else draw.permutation(b)
+            costs.append(brute_force_cost(drawn.tolist(), b.tolist(), k, metric))
+        mean = float(np.mean(costs))
+        expected = BaselineResult(0.25, mean, float(np.std(costs)), 20, mean - 0.25)
+        assert random_baseline(b, k, 20, 6, sm1=0.25, metric=metric, mode=mode) == expected
 
 
 def test_baseline_shuffle_mode_preserves_sizes():

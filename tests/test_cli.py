@@ -221,23 +221,33 @@ def test_k_zero_exits_1(fixture_dir, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "text, named",
+    "command, text, named",
     [
-        ('{"k": "abc"}', "config key 'k'"),
-        ('{"k": 2.7}', "config key 'k'"),
-        ('{"metric": "bogus"}', "config key 'metric'"),
-        ('{"prep_scope": "bogus"}', "config key 'prep_scope'"),
-        ('{"prep": ["none"]}', "config key 'prep'"),
-        ('{"kmeans": {"restarts": true}}', "config section 'kmeans' key 'restarts'"),
-        ('{"k": 3,}', "cfg.json: not a valid JSON config"),
+        ("stability", '{"k": "abc"}', "config key 'k'"),
+        ("stability", '{"k": 2.7}', "config key 'k'"),
+        ("stability", '{"metric": "bogus"}', "config key 'metric'"),
+        ("stability", '{"prep_scope": "bogus"}', "config key 'prep_scope'"),
+        ("stability", '{"prep": ["none"]}', "config key 'prep'"),
+        ("stability", '{"kmeans": {"restarts": true}}', "config section 'kmeans' key 'restarts'"),
+        ("stability", '{"k": 3,}', "cfg.json: not a valid JSON config"),
+        ("stability", '{"window_len": 0}', "config key 'window_len': '0': expected"),
+        ("stability", '{"balance_threshold": 2}', "config key 'balance_threshold': '2': expected"),
+        ("stability", '{"kmeans": {"epsilon": 0}}', "'kmeans' key 'epsilon': '0': expected"),
+        ("stability", '{"kmeans": {"max_iters": 0}}', "'kmeans' key 'max_iters': '0': expected"),
+        ("stability", '{"kmeans": {"restarts": 0}}', "'kmeans' key 'restarts': '0': expected"),
+        ("stability", '{"spectral": {"sigma": -3}}', "'spectral' key 'sigma': '-3': expected"),
+        ("associate", '{"trials": 0}', "config key 'trials': '0': expected an integer >= 1"),
     ],
-    ids=["k_text", "k_fraction", "metric", "prep_scope", "prep_list", "restarts_bool", "not_json"],
+    ids=["k_text", "k_fraction", "metric", "prep_scope", "prep_list", "restarts_bool", "not_json",
+         "window_len_zero", "balance_threshold_above_1", "epsilon_zero", "max_iters_zero",
+         "restarts_zero", "sigma_negative", "trials_zero"],
 )
-def test_bad_config_value_exits_2(fixture_dir, tmp_path, capsys, text, named):
+def test_bad_config_value_exits_2(fixture_dir, tmp_path, capsys, command, text, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out = tmp_path / "out"
-    code = run(["stability", "--input", fixture_dir / "epicurves.csv",
+    features = ["--features", fixture_dir / "features.csv"] if command == "associate" else []
+    code = run([command, "--input", fixture_dir / "epicurves.csv", *features,
                 "--config", cfg, "--out", out])
     assert code == 2
     assert named in capsys.readouterr().err
@@ -294,11 +304,23 @@ def test_config_file_writes_what_the_same_flags_write(fixture_dir, tmp_path, com
         ("stability", ["--prep", ","]),
         ("stability", ["--algo", "kmeans,bogus"]),
         ("associate", ["--prep", " "]),
+        ("cluster", ["--balance-threshold", "0"]),
+        ("stability", ["--balance-threshold", "1.5"]),
+        ("cluster", ["--epsilon", "0"]),
+        ("stability", ["--epsilon", "nan"]),
+        ("cluster", ["--max-iters", "0"]),
+        ("associate", ["--restarts", "-1"]),
+        ("stability", ["--window-len", "0"]),
+        ("associate", ["--trials", "0"]),
+        ("cluster", ["--sigma", "-3"]),
+        ("stability", ["--sigma", "0"]),
     ],
     ids=["cluster_window_len", "cluster_trials", "cluster_metric", "cluster_prep_scope",
          "cluster_baseline_mode", "cluster_heatmap", "stability_trials",
          "stability_baseline_mode", "sigma_text", "prep_empty_list", "algo_unknown_name",
-         "associate_prep_blank"],
+         "associate_prep_blank", "balance_threshold_zero", "balance_threshold_above_1",
+         "epsilon_zero", "epsilon_nan", "max_iters_zero", "restarts_negative",
+         "window_len_zero", "trials_zero", "sigma_negative", "sigma_zero"],
 )
 def test_usage_error_exits_2_naming_the_flag(fixture_dir, tmp_path, capsys, command, argv):
     """A flag the subcommand does not declare, or a value its type rejects."""
@@ -307,6 +329,44 @@ def test_usage_error_exits_2_naming_the_flag(fixture_dir, tmp_path, capsys, comm
     assert exc.value.code == 2
     assert argv[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("cluster", ["--prep", "population"]),
+        ("stability", []),  # the default --prep list includes population
+        ("associate", ["--prep", "population"]),
+    ],
+    ids=["cluster", "stability", "associate"],
+)
+def test_population_prep_without_populations_exits_2(
+    fixture_dir, tmp_path, capsys, monkeypatch, command, argv
+):
+    """Fails before any window is clustered, naming both flags."""
+    def no_clustering(*args):
+        raise AssertionError("clustered before the --prep check")
+
+    monkeypatch.setattr("epiclust.cli._cluster_window", no_clustering)
+    monkeypatch.setattr("epiclust.pipeline._cluster_window", no_clustering)
+    out = tmp_path / "out"
+    features = ["--features", fixture_dir / "features.csv"] if command == "associate" else []
+    code = run([command, "--input", fixture_dir / "epicurves.csv", *features, *argv,
+                "--out", out])
+    assert code == 2
+    assert "--prep population needs --populations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_associate_k9(fixture_dir, tmp_path):
+    """k above the old k! scan limit runs through the same alignment search."""
+    code = run(["associate", "--input", fixture_dir / "epicurves.csv",
+                "--features", fixture_dir / "features.csv", "--prep", "none",
+                "--algo", "kmeans", "--k", "9", "--trials", "10", "--out", tmp_path])
+    assert code == 0
+    report = json.loads((tmp_path / "association.json").read_text())
+    assert report["k"] == 9
+    assert all(sorted(c["permutation"]) == list(range(9)) for c in report["cells"])
 
 
 @pytest.mark.parametrize("command", ["synth", "cluster", "stability", "associate"])
