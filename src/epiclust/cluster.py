@@ -5,6 +5,10 @@ frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
 
   kmeans                  Lloyd iterations with k-means++ seeding and
                           independent restarts; fully deterministic per seed.
+                          Each step assigns by one BLAS product (Gram form)
+                          and re-scores in the difference form the rows the
+                          rounding bound cannot settle, so partitions and
+                          inertia equal the difference form's bit for bit.
   spectral_cluster        Gaussian affinity -> graph Laplacian -> LAPACK
                           symmetric eigendecomposition -> k-means on the
                           leading eigenvector rows.
@@ -38,8 +42,14 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("epsilon, max_iters and restarts must be positive")
+        eps = self.epsilon
+        number = isinstance(eps, (int, float, np.integer, np.floating)) and not isinstance(eps, bool)
+        if not (number and np.isfinite(eps) and eps > 0):
+            raise ValueError(f"epsilon must be a finite positive number, got {eps!r}")
+        for name, least in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,20 @@ class ClusterAssignment:
         object.__setattr__(self, "labels", labels)
 
 
+def _as_points(points) -> np.ndarray:
+    """``points`` as a non-empty 2-D float array of finite values (1-D input is one column)."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise ValueError(f"expected a non-empty 2-D point array, got shape {points.shape}")
+    finite = np.isfinite(points)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"point at row {i}, column {j} is not finite: {points[i, j]}")
+    return points
+
+
 def _check_k(k, n):
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -94,11 +118,59 @@ def _check_k(k, n):
         raise ValueError(f"k={k} exceeds the {n} observations")
 
 
-def _assign(points, centroids):
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+# Rounding-error screen for the Gram-form distances in _assign. Let u = eps/2
+# be the unit roundoff and R = max|x| + max|c| the largest Euclidean norms of
+# a row and of a centroid. Under any summation order (BLAS included) the
+# computed Gram form |x|^2 - 2 x.c + |c|^2 lies within (d+2) u R^2 (1 + O(u))
+# of |x - c|^2: each of its three terms is a d-term sum of products bounded
+# by |x|^2, |x||c| or |c|^2 (Cauchy-Schwarz), and two roundings combine them.
+# The difference form sum((x - c)^2) lies within (d+2) u |x - c|^2, which is
+# at most (d+2) u R^2 (one rounding per subtraction and per square, d - 1 in
+# the sum). So when every other centroid's Gram distance exceeds a row's Gram
+# minimum by more than four such bounds, 2 (d+2) eps R^2, both forms have the
+# same strict argmin. The band used is 4 times that, which also absorbs the
+# rounding of the norms R is computed from; the tiny term covers underflow,
+# where relative bounds fail (absolute error at most one subnormal step per
+# operation). Rows that do not clear the band are re-scored in the difference
+# form: every exact tie, and every row that an overflow turned into inf or
+# nan. So labels, first centroid on ties, equal the difference form's on
+# every finite input.
+_GRAM_SLACK = 8.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _assign(points, sq_norms, x_norm, rows, centroids):
+    """Nearest-centroid labels (first centroid on ties) and their summed
+    squared distances: Gram form, screened, re-scored in the difference form
+    where the screen cannot vouch for the argmin (see ``_GRAM_SLACK``)."""
+    c_norms = (centroids * centroids).sum(axis=1)
+    d2 = points @ centroids.T
+    d2 *= -2.0
+    d2 += sq_norms[:, None]
+    d2 += c_norms
     labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(len(points)), labels].sum())
-    return labels, inertia, d2
+    row_min = d2[rows, labels]
+    radius = x_norm + np.sqrt(c_norms.max())
+    tol = (points.shape[1] + 2) * (_GRAM_SLACK * radius * radius + _TINY)
+    near = d2 <= (row_min + tol)[:, None]
+    total = row_min.sum()
+    # a finite total means no row is nan, so every row counts at least its
+    # own minimum as near; n near entries in all then mean no row has two
+    if np.count_nonzero(near) != len(rows) or not np.isfinite(total):
+        redo = np.flatnonzero(near.sum(axis=1) != 1)
+        exact = ((points[redo, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels[redo] = exact.argmin(axis=1)
+        row_min[redo] = exact[rows[: redo.size], labels[redo]]
+        total = row_min.sum()
+    return labels, float(total)
+
+
+def _own_d2(points, centroids, labels):
+    """Squared distance of each row to its centroid, in the difference form."""
+    diff = centroids[labels]
+    np.subtract(points, diff, out=diff)
+    diff *= diff
+    return diff.sum(axis=1)
 
 
 def _plusplus_init(points, k, rng):
@@ -117,30 +189,41 @@ def _plusplus_init(points, k, rng):
     return centroids
 
 
-def _lloyd(points, k, cfg: KMeansConfig, rng):
+def _lloyd(points, k, cfg: KMeansConfig, rng, sq_norms, x_norm, rows):
     centroids = _plusplus_init(points, k, rng)
     history = []
+    labels = repeat = None  # repeat: last labels whose means fill every centroid
     for _ in range(cfg.max_iters):
-        labels, inertia, d2 = _assign(points, centroids)
-        history.append(inertia)
+        labels, total = _assign(points, sq_norms, x_norm, rows, centroids)
+        history.append(total)
+        if repeat is not None and np.array_equal(labels, repeat):
+            # the means of these labels are the current centroids, bit for
+            # bit: the next shift is 0 and these labels are final
+            break
         counts = np.bincount(labels, minlength=k)
         new_centroids = centroids.copy()
         for c in np.flatnonzero(counts):
-            new_centroids[c] = points[labels == c].mean(axis=0)
+            # bit-equal to .mean(axis=0), without its wrapper cost
+            new_centroids[c] = points[labels == c].sum(axis=0) / counts[c]
         empty = np.flatnonzero(counts == 0)
+        repeat = None if empty.size else labels
         if empty.size:
             # re-seed each empty cluster with the point farthest from its
             # current centroid, never reusing a point twice
-            dist_to_own = d2[np.arange(len(points)), labels].copy()
+            dist_to_own = _own_d2(points, centroids, labels)
             for c in empty:
                 far = int(dist_to_own.argmax())
                 new_centroids[c] = points[far]
                 dist_to_own[far] = -1.0
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
+        labels = None  # stale: they belong to the centroids just replaced
         if shift < cfg.epsilon:
             break
-    labels, inertia, _ = _assign(points, centroids)
+    if labels is None:
+        labels, _ = _assign(points, sq_norms, x_norm, rows, centroids)
+    # exact, in the difference form's per-row values and summation order
+    inertia = float(_own_d2(points, centroids, labels).sum())
     history.append(inertia)
     return labels, centroids, inertia, tuple(history)
 
@@ -149,18 +232,26 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignm
     """Cluster points into ``k`` groups, keeping the best of ``cfg.restarts``.
 
     Deterministic for a given seed; the winning restart is the one with the
-    lowest final inertia (first such on ties).
+    lowest final inertia (first such on ties). Each Lloyd step scores all
+    rows with one matrix product (the Gram form |x|^2 - 2 x.c + |c|^2) and
+    re-scores in the difference form sum((x - c)^2) every row whose two
+    nearest centroids lie within the rounding bound of each other. Labels,
+    centroids and the final inertia therefore equal those of the difference
+    form bit for bit, exact ties going to the first centroid. Entries of
+    ``inertia_history`` before the last may carry Gram-form rounding; the
+    last is the exact ``inertia``. Non-finite points raise ``ValueError``.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError(f"expected a non-empty 2-D point array, got shape {points.shape}")
+    points = _as_points(points)
     _check_k(k, points.shape[0])
+    sq_norms = (points * points).sum(axis=1)
+    x_norm = np.sqrt(sq_norms.max())
+    rows = np.arange(points.shape[0])
     best = None
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        labels, centroids, inertia, history = _lloyd(points, k, cfg, rng)
+        labels, centroids, inertia, history = _lloyd(
+            points, k, cfg, rng, sq_norms, x_norm, rows
+        )
         if best is None or inertia < best[2]:
             best = (labels, centroids, inertia, history)
     labels, centroids, inertia, history = best
@@ -175,11 +266,9 @@ def rbf_affinity(points, sigma: float | str = "median") -> np.ndarray:
     of growing as n^2 * d, and coincident points get a distance of exactly 0.
     The diagonal is forced to zero (no self-loops). ``sigma="median"`` uses
     the median of the non-zero pairwise distances, falling back to 1.0 when
-    all points coincide.
+    all points coincide. Non-finite points raise ``ValueError``.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = _as_points(points)
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"affinity needs at least 2 points, got {n}")

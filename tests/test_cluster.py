@@ -2,6 +2,7 @@
 spectral and scalar clustering."""
 
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,12 @@ import pytest
 
 from epiclust.align import best_permutation_dissimilarity
 from epiclust.cluster import (
+    ClusterAssignment,
     KMeansConfig,
     SpectralConfig,
+    _assign,
+    _check_k,
+    _plusplus_init,
     check_symmetric,
     cluster_scalar_feature,
     eigengap_suggest_k,
@@ -94,6 +99,198 @@ def test_kmeans_errors():
         kmeans(np.zeros((0, 1)), 1)
     with pytest.raises(ValueError, match="k must be positive"):
         kmeans(np.zeros((2, 1)), 0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"epsilon": float("nan")}, "epsilon"),
+        ({"epsilon": float("inf")}, "epsilon"),
+        ({"epsilon": 0.0}, "epsilon"),
+        ({"epsilon": True}, "epsilon"),
+        ({"epsilon": "1e-6"}, "epsilon"),
+        ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": 0}, "max_iters"),
+        ({"restarts": True}, "restarts"),
+        ({"restarts": 0}, "restarts"),
+        ({"seed": 1.0}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": None}, "seed"),
+    ],
+)
+def test_kmeans_config_rejects_bad_values(kwargs, named):
+    with pytest.raises(ValueError, match=f"^{named} must be"):
+        KMeansConfig(**kwargs)
+
+
+def test_kmeans_config_accepts_numpy_scalars():
+    cfg = KMeansConfig(epsilon=np.float32(1e-3), max_iters=np.int64(5), restarts=2, seed=np.int32(7))
+    assert kmeans(np.arange(6.0), 2, cfg).k == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_points(bad):
+    pts = np.zeros((4, 3))
+    pts[2, 1] = bad
+    pts[3, 0] = bad
+    with pytest.raises(ValueError, match=r"^point at row 2, column 1 is not finite"):
+        kmeans(pts, 2)
+    with pytest.raises(ValueError, match=r"^point at row 1, column 0 is not finite"):
+        cluster_scalar_feature([0.0, bad, 1.0], 2)
+    with pytest.raises(ValueError, match=r"^point at row 2, column 1 is not finite"):
+        spectral_cluster(pts, 2)
+
+
+# --- kmeans against the difference-form reference -----------------------------
+# _reference_assign, _reference_lloyd and reference_kmeans are the earlier
+# k-means, kept verbatim: every step scores every row with the (n, k, d)
+# difference form. kmeans must reproduce it bit for bit.
+
+
+def _reference_assign(points, centroids):
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    inertia = float(d2[np.arange(len(points)), labels].sum())
+    return labels, inertia, d2
+
+
+def _reference_lloyd(points, k, cfg: KMeansConfig, rng):
+    centroids = _plusplus_init(points, k, rng)
+    history = []
+    for _ in range(cfg.max_iters):
+        labels, inertia, d2 = _reference_assign(points, centroids)
+        history.append(inertia)
+        counts = np.bincount(labels, minlength=k)
+        new_centroids = centroids.copy()
+        for c in np.flatnonzero(counts):
+            new_centroids[c] = points[labels == c].mean(axis=0)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            # re-seed each empty cluster with the point farthest from its
+            # current centroid, never reusing a point twice
+            dist_to_own = d2[np.arange(len(points)), labels].copy()
+            for c in empty:
+                far = int(dist_to_own.argmax())
+                new_centroids[c] = points[far]
+                dist_to_own[far] = -1.0
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        if shift < cfg.epsilon:
+            break
+    labels, inertia, _ = _reference_assign(points, centroids)
+    history.append(inertia)
+    return labels, centroids, inertia, tuple(history)
+
+
+def reference_kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignment:
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise ValueError(f"expected a non-empty 2-D point array, got shape {points.shape}")
+    _check_k(k, points.shape[0])
+    best = None
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, r])
+        labels, centroids, inertia, history = _reference_lloyd(points, k, cfg, rng)
+        if best is None or inertia < best[2]:
+            best = (labels, centroids, inertia, history)
+    labels, centroids, inertia, history = best
+    return ClusterAssignment(labels, k, centroids, inertia, inertia_history=history)
+
+
+def assert_same_as_reference(got, want):
+    assert np.array_equal(got.labels, want.labels)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.inertia == want.inertia
+    assert len(got.inertia_history) == len(want.inertia_history)
+    assert got.inertia_history[-1] == got.inertia
+
+
+def _duplicated_rows(rng, n, d):
+    pts = rng.standard_normal((n, d))
+    pts[rng.integers(n, size=n // 2)] = pts[rng.integers(n)]
+    return pts
+
+
+ORACLE_FAMILIES = {
+    "gaussian": lambda rng, n, d: rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4),
+    # few distinct coordinates: many points exactly equidistant from two centroids
+    "integer_grid_ties": lambda rng, n, d: rng.integers(0, 3, (n, d)).astype(float),
+    # a large common offset: an unscreened Gram form misorders near-ties here
+    "offset_1e7": lambda rng, n, d: 1e7 + 1e4 * rng.poisson(3.0, (n, d)),
+    "offset_1e7_unit_steps": lambda rng, n, d: 1e7 + rng.poisson(3.0, (n, d)),
+    "duplicated_rows": _duplicated_rows,
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+def test_kmeans_matches_difference_form_reference(family):
+    rng = np.random.default_rng(sorted(ORACLE_FAMILIES).index(family))
+    for case in range(30):
+        n, d = int(rng.integers(2, 80)), int(rng.integers(1, 10))
+        pts = ORACLE_FAMILIES[family](rng, n, d)
+        k = 1 if case == 0 else int(rng.integers(1, min(n, 7) + 1))
+        for max_iters in (1, 2, 300):
+            cfg = KMeansConfig(max_iters=max_iters, restarts=3, seed=int(rng.integers(1000)))
+            assert_same_as_reference(kmeans(pts, k, cfg), reference_kmeans(pts, k, cfg))
+
+
+def test_kmeans_empty_cluster_reseed_matches_reference():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n, d = int(rng.integers(4, 40)), int(rng.integers(1, 4))
+        distinct = rng.integers(-2, 3, (int(rng.integers(1, 4)), d)).astype(float)
+        pts = distinct[rng.integers(len(distinct), size=n)]
+        # k-means++ draws its k centroids from fewer than k distinct points, so
+        # two coincide, the later one wins no row and must be re-seeded
+        k = len(np.unique(pts, axis=0)) + int(rng.integers(1, 3))
+        cfg = KMeansConfig(restarts=2, seed=int(rng.integers(1000)))
+        assert_same_as_reference(kmeans(pts, k, cfg), reference_kmeans(pts, k, cfg))
+
+
+def test_kmeans_labels_repeating_after_a_reseed_keep_iterating(monkeypatch):
+    # from these centroids cluster 2 is empty and is re-seeded at 10, which
+    # the earlier centroid 1 also reaches: the labels repeat, yet the next
+    # re-seed (the point farthest from its centroid is now 0) moves a centroid
+    points = np.array([[0.0], [1.0], [10.0]])
+    start = np.array([[0.5], [6.0], [-5.0]])
+
+    def fake_init(points, k, rng):
+        return start.copy()
+
+    monkeypatch.setattr("epiclust.cluster._plusplus_init", fake_init)
+    monkeypatch.setattr(sys.modules[__name__], "_plusplus_init", fake_init)
+    cfg = KMeansConfig(restarts=1)
+    want = reference_kmeans(points, 3, cfg)
+    assert want.labels.tolist() == [2, 0, 1]
+    assert_same_as_reference(kmeans(points, 3, cfg), want)
+
+
+def test_scalar_feature_matches_reference(monkeypatch):
+    rng = np.random.default_rng(13)
+    cases = []
+    for _ in range(40):
+        n = int(rng.integers(2, 70))
+        values = rng.choice([rng.uniform(0, 100, n), rng.integers(0, 4, n) * 0.5, 1e7 + rng.poisson(2.0, n)])
+        cases.append((values, int(rng.integers(1, min(n, 6) + 1)), KMeansConfig(seed=int(rng.integers(1000)))))
+    got = [cluster_scalar_feature(*case) for case in cases]
+    monkeypatch.setattr("epiclust.cluster.kmeans", reference_kmeans)
+    for g, case in zip(got, cases):
+        assert_same_as_reference(g, cluster_scalar_feature(*case))
+
+
+def test_exact_tie_goes_to_the_first_centroid():
+    # 123456789 is exactly 0.25 from both centroids (0.0625 in the difference
+    # form), but the Gram form rounds the two squared distances to 0 and -2
+    points = np.array([[123456789.0], [123456790.0]])
+    centroids = np.array([[123456789.25], [123456788.75]])
+    gram = (points**2).sum(1)[:, None] - 2.0 * points @ centroids.T + (centroids**2).sum(1)
+    assert gram[0].argmin() == 1  # the case the screen exists for
+    sq_norms = (points * points).sum(axis=1)
+    labels, total = _assign(points, sq_norms, np.sqrt(sq_norms.max()), np.arange(2), centroids)
+    assert labels.tolist() == [0, 0]
+    assert total == 0.0625 + 0.5625
 
 
 # --- affinity / laplacian / eigengap -----------------------------------------
