@@ -382,7 +382,8 @@ def _checked(kind, ok, expected):
 
 
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_positive = _checked(float, lambda v: v > 0, "a number > 0")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive = _checked(float, lambda v: 0 < v < float("inf"), "a finite number > 0")
 _fraction = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 
 
@@ -417,7 +418,7 @@ def _add_study_flags(p, command):
             default="spectral,kmeans" if many else "spectral",
             help=f"clustering algorithm, {listed} {', '.join(ALGORITHMS)}")
     setting(schema, "--k", type=int, default=3, help="number of clusters")
-    setting(schema, "--seed", type=int, default=km.seed, help="master RNG seed")
+    setting(schema, "--seed", type=_seed, default=km.seed, help="master RNG seed")
     setting(schema, "--balance-threshold", type=_fraction, default=0.8,
             help="largest-cluster fraction that flags a degenerate clustering")
     if windowed:
@@ -488,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-true", dest="k_true", type=int, default=3)
     p.add_argument("--correlated", type=int, default=4, help="cluster-correlated feature count")
     p.add_argument("--noise", type=int, default=7, help="independent-noise feature count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_synth)
 

@@ -42,10 +42,8 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        eps = self.epsilon
-        number = isinstance(eps, (int, float, np.integer, np.floating)) and not isinstance(eps, bool)
-        if not (number and np.isfinite(eps) and eps > 0):
-            raise ValueError(f"epsilon must be a finite positive number, got {eps!r}")
+        if not _finite_positive(self.epsilon):
+            raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon!r}")
         for name, least in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -56,8 +54,8 @@ class KMeansConfig:
 class SpectralConfig:
     """Affinity bandwidth and Laplacian variant.
 
-    ``sigma`` may be a positive number or the string ``"median"`` (median of
-    the non-zero pairwise distances).
+    ``sigma`` may be a finite positive number or the string ``"median"``
+    (median of the non-zero pairwise distances).
     """
 
     sigma: float | str = "median"
@@ -68,8 +66,17 @@ class SpectralConfig:
             raise ValueError(
                 f"unknown laplacian kind {self.laplacian!r}; expected one of {LAPLACIAN_KINDS}"
             )
-        if not (self.sigma == "median" or (np.isreal(self.sigma) and self.sigma > 0)):
-            raise ValueError(f"sigma must be positive or 'median', got {self.sigma!r}")
+        _check_sigma(self.sigma)
+
+
+def _finite_positive(value) -> bool:
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return number and np.isfinite(value) and value > 0
+
+
+def _check_sigma(sigma) -> None:
+    if not (sigma == "median" or _finite_positive(sigma)):
+        raise ValueError(f"sigma must be a finite positive number or 'median', got {sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -268,6 +275,7 @@ def rbf_affinity(points, sigma: float | str = "median") -> np.ndarray:
     the median of the non-zero pairwise distances, falling back to 1.0 when
     all points coincide. Non-finite points raise ``ValueError``.
     """
+    _check_sigma(sigma)
     points = _as_points(points)
     n = points.shape[0]
     if n < 2:
@@ -283,8 +291,6 @@ def rbf_affinity(points, sigma: float | str = "median") -> np.ndarray:
         dists = np.sqrt(d2[np.triu_indices(n, k=1)])
         nonzero = dists[dists > 0]
         sigma = float(np.median(nonzero)) if nonzero.size else 1.0
-    elif not (np.isreal(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive or 'median', got {sigma!r}")
     w = np.exp(-d2 / (2.0 * float(sigma) ** 2))
     np.fill_diagonal(w, 0.0)
     return w

@@ -1,6 +1,7 @@
 """Loading, validation and windowing of region time-series and feature tables.
 
-Input formats (all UTF-8 CSV, LF or CRLF):
+Input formats (all UTF-8 CSV, LF or CRLF, ``"`` quoting as in RFC 4180, no
+blank lines, values as plain decimal numbers):
   - epicurve table:   ``region,<ISO date>,<ISO date>,...`` one row per region
   - population table: ``region,population``
   - feature table:    ``region,<feature name>,...`` one row per region
@@ -136,9 +137,8 @@ def _cell_error(path, i, j, problem) -> IngestError:
 
 def _reject_cells(path, bad, describe) -> None:
     """Raise for the first True cell of the mask ``bad`` over a table's values."""
-    cells = np.argwhere(bad)
-    if cells.size:
-        r, c = cells[0]
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
         raise _cell_error(path, r + 2, c + 2, describe(r, c))
 
 
@@ -146,16 +146,19 @@ def _read_table(path, column, dtype=float):
     """Parse a ``region,<column>,...`` CSV into (header, region names, values).
 
     ``header`` holds every stripped header cell, the region column's
-    included; ``values`` has one row per data row. Rows are parsed one at a
-    time into a preallocated array, so numpy applies Python's own ``float``
-    or ``int`` to each cell; a row is scanned cell by cell only when it
-    fails, to name the bad cell.
+    included; ``values`` has one row per data row. The header line is read
+    with ``csv``; the body in one streaming pass of ``np.loadtxt``, numpy's
+    C tokenizer and number parser, with ``"`` quoting as in RFC 4180.
+    ``loadtxt`` skips blank lines and sizes its rows by the first one, so a
+    body whose record count differs from its line count, or whose width
+    differs from the header's, is refused too. Whatever the C reader
+    refuses goes to ``_locate`` for an error that names the row or cell.
     """
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        n_lines = sum(1 for _ in fh)  # at least the number of CSV records
+        n_lines = sum(1 for _ in fh)
         fh.seek(0)
         rows = csv.reader(fh)
         header = next(rows, None)
@@ -166,42 +169,86 @@ def _read_table(path, column, dtype=float):
                 f"{path}: header must hold a region column and at least one {column}"
             )
         header = [c.strip() for c in header]
+        n_records = n_lines - rows.line_num  # when no record is blank or spans lines
         names = []
-        values = np.empty((n_lines - 1, len(header) - 1), dtype=dtype)
-        for i, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise IngestError(
-                    f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-                )
-            names.append(row[0].strip())
+
+        def name(cell):
+            names.append(cell.strip())
+            return 0
+
+        table = np.empty((0, len(header)), dtype=dtype)
+        if n_records:
             try:
-                values[i - 2] = row[1:]
-            except (ValueError, OverflowError):
-                raise _bad_cell(path, column, header, row, i, values[i - 2]) from None
-    values = values[: len(names)]
+                with warnings.catch_warnings():
+                    # Some numpy releases parse an integer cell such as "2.5" via
+                    # float and truncate it, with only this warning: refuse it.
+                    warnings.filterwarnings(
+                        "error", r"loadtxt\(\): Parsing an integer via a float", DeprecationWarning
+                    )
+                    # A body of blank lines reads as no data; the shape check names it.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    table = np.loadtxt(
+                        fh, dtype=dtype, comments=None, delimiter=",", converters={0: name},
+                        ndmin=2, encoding="utf-8", quotechar='"',
+                    )
+            except ValueError as exc:
+                raise _locate(path, column, header, dtype, exc) from None
+    if table.shape != (n_records, len(header)):
+        raise _locate(path, column, header, dtype, "a blank line or a line break in a cell")
+    values = table[:, 1:]
     if values.dtype.kind == "f":
         _reject_cells(path, ~np.isfinite(values), lambda r, c: f"non-finite value {values[r, c]}")
     return header, names, values
 
 
-def _bad_cell(path, column, header, row, i, out) -> IngestError:
-    """The error for the first cell of data row ``i`` that ``out`` cannot hold."""
-    for j, cell in enumerate(row[1:], start=2):
-        try:
-            out[j - 2] = cell
-        except OverflowError:
-            return _cell_error(path, i, j, f"{column} {cell!r} out of range")
-        except ValueError:
-            if not cell.strip():
-                problem = (
-                    f"missing value for region {row[0].strip()!r}, "
-                    f"{column} {header[j - 1]!r}"
+def _locate(path, column, header, dtype, refusal) -> IngestError:
+    """The error for a table body that ``_read_table`` refused, naming its first bad row or cell.
+
+    Rows are scanned with ``csv`` and each value cell is converted by
+    Python's own ``float`` or ``int``; the first row of the wrong width, or
+    cell those refuse, is named. Python also reads some cells ``loadtxt``
+    refuses (see ``_unplain_cell``): the first is named only when no other
+    fault is found, and a body with neither is reported with ``refusal``.
+    """
+    out = np.empty(len(header) - 1, dtype=dtype)
+    refused = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for i, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                return IngestError(
+                    f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
                 )
-            elif out.dtype.kind == "i":
-                problem = f"non-integer {column} {cell!r}"
-            else:
-                problem = f"non-numeric value {cell!r}"
-            return _cell_error(path, i, j, problem)
+            for j, cell in enumerate(row[1:], start=2):
+                try:
+                    out[j - 2] = cell
+                except OverflowError:
+                    return _cell_error(path, i, j, f"{column} {cell!r} out of range")
+                except ValueError:
+                    if not cell.strip():
+                        problem = (
+                            f"missing value for region {row[0].strip()!r}, "
+                            f"{column} {header[j - 1]!r}"
+                        )
+                    elif out.dtype.kind == "i":
+                        problem = f"non-integer {column} {cell!r}"
+                    else:
+                        problem = f"non-numeric value {cell!r}"
+                    return _cell_error(path, i, j, problem)
+            refused = refused or _unplain_cell(path, column, row, i)
+    return refused or IngestError(f"{path}: not a plain CSV table: {refusal}")
+
+
+def _unplain_cell(path, column, row, i) -> IngestError | None:
+    """The error for the first cell of data row ``i`` that Python reads but ``loadtxt``
+    refuses: a line break inside a quoted cell, digit separators or non-ASCII digits."""
+    for j, cell in enumerate(row, start=1):
+        if "\n" in cell or "\r" in cell:
+            return _cell_error(path, i, j, f"line break in cell {cell!r}")
+        if j > 1 and ("_" in cell or not cell.strip().isascii()):
+            return _cell_error(path, i, j, f"{column} {cell!r} is not a plain decimal number")
+    return None
 
 
 def _row_of(path, names) -> dict:

@@ -237,10 +237,14 @@ def test_k_zero_exits_1(fixture_dir, tmp_path, capsys, command):
         ("stability", '{"kmeans": {"restarts": 0}}', "'kmeans' key 'restarts': '0': expected"),
         ("stability", '{"spectral": {"sigma": -3}}', "'spectral' key 'sigma': '-3': expected"),
         ("associate", '{"trials": 0}', "config key 'trials': '0': expected an integer >= 1"),
+        ("stability", '{"spectral": {"sigma": "inf"}}', "'spectral' key 'sigma': 'inf': expected"),
+        ("cluster", '{"kmeans": {"epsilon": 1e999}}', "'kmeans' key 'epsilon': 'inf': expected"),
+        ("stability", '{"seed": -1}', "config key 'seed': '-1': expected an integer >= 0"),
     ],
     ids=["k_text", "k_fraction", "metric", "prep_scope", "prep_list", "restarts_bool", "not_json",
          "window_len_zero", "balance_threshold_above_1", "epsilon_zero", "max_iters_zero",
-         "restarts_zero", "sigma_negative", "trials_zero"],
+         "restarts_zero", "sigma_negative", "trials_zero", "sigma_inf", "epsilon_inf",
+         "seed_negative"],
 )
 def test_bad_config_value_exits_2(fixture_dir, tmp_path, capsys, command, text, named):
     cfg = tmp_path / "cfg.json"
@@ -314,13 +318,18 @@ def test_config_file_writes_what_the_same_flags_write(fixture_dir, tmp_path, com
         ("associate", ["--trials", "0"]),
         ("cluster", ["--sigma", "-3"]),
         ("stability", ["--sigma", "0"]),
+        ("cluster", ["--sigma", "inf"]),
+        ("stability", ["--epsilon", "inf"]),
+        ("associate", ["--seed", "-1"]),
+        ("synth", ["--seed", "-1"]),
     ],
     ids=["cluster_window_len", "cluster_trials", "cluster_metric", "cluster_prep_scope",
          "cluster_baseline_mode", "cluster_heatmap", "stability_trials",
          "stability_baseline_mode", "sigma_text", "prep_empty_list", "algo_unknown_name",
          "associate_prep_blank", "balance_threshold_zero", "balance_threshold_above_1",
          "epsilon_zero", "epsilon_nan", "max_iters_zero", "restarts_negative",
-         "window_len_zero", "trials_zero", "sigma_negative", "sigma_zero"],
+         "window_len_zero", "trials_zero", "sigma_negative", "sigma_zero", "sigma_inf",
+         "epsilon_inf", "seed_negative", "synth_seed_negative"],
 )
 def test_usage_error_exits_2_naming_the_flag(fixture_dir, tmp_path, capsys, command, argv):
     """A flag the subcommand does not declare, or a value its type rejects."""

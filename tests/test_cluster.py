@@ -123,6 +123,13 @@ def test_kmeans_config_rejects_bad_values(kwargs, named):
         KMeansConfig(**kwargs)
 
 
+@pytest.mark.parametrize("sigma", [float("inf"), float("nan"), True, 0.0, -1.0, "wide", None])
+def test_spectral_config_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="^sigma must be a finite positive number or 'median'"):
+        SpectralConfig(sigma=sigma)
+    assert SpectralConfig(sigma=np.float32(0.5)).sigma == np.float32(0.5)
+
+
 def test_kmeans_config_accepts_numpy_scalars():
     cfg = KMeansConfig(epsilon=np.float32(1e-3), max_iters=np.int64(5), restarts=2, seed=np.int32(7))
     assert kmeans(np.arange(6.0), 2, cfg).k == 2

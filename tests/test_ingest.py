@@ -1,14 +1,21 @@
 """Loading, validation, windowing and CSV round-trips."""
 
+import csv
 import datetime
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from epiclust.cli import main
 from epiclust.ingest import (
     EpicurveMatrix,
     IngestError,
+    _cell_error,
+    _read_table,
+    _reject_cells,
     load_epicurves,
     load_features,
     split_windows,
@@ -279,3 +286,294 @@ def test_matrix_invariants_enforced():
     m = make_matrix()
     with pytest.raises(ValueError):
         m.values[0, 0] = 5.0  # frozen storage
+
+
+def test_load_epicurves_row_wider_than_header(tmp_path):
+    path = tmp_path / "epi.csv"
+    for lines, row in ((["a,1,2,3", "b,3,4"], 2), (["a,1,2", "b,3,4,5"], 3)):
+        write_csv(path, ["region,2020-11-15,2020-11-16", *lines])
+        with pytest.raises(IngestError, match=f"row {row} has 4 cells, expected 3"):
+            load_epicurves(path)
+
+
+def test_load_epicurves_blank_line_named(tmp_path):
+    path = tmp_path / "epi.csv"
+    for lines, row in ((["a,1,2", "", "b,3,4"], 3), (["a,1,2", "b,3,4", ""], 4)):
+        write_csv(path, ["region,2020-11-15,2020-11-16", *lines])
+        with pytest.raises(IngestError, match=f"row {row} has 0 cells, expected 3"):
+            load_epicurves(path)
+
+
+# --- the reader against the csv reader it replaced ------------------------------
+# _reference_read_table and _reference_bad_cell are the earlier reader, kept
+# verbatim: csv.reader splits each row and numpy converts each cell with
+# Python's own float or int. _read_table must return what it returns, or raise
+# the same IngestError, except on the inputs it refuses by design (below).
+
+
+def _reference_read_table(path, column, dtype=float):
+    """Parse a ``region,<column>,...`` CSV into (header, region names, values).
+
+    ``header`` holds every stripped header cell, the region column's
+    included; ``values`` has one row per data row. Rows are parsed one at a
+    time into a preallocated array, so numpy applies Python's own ``float``
+    or ``int`` to each cell; a row is scanned cell by cell only when it
+    fails, to name the bad cell.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise IngestError(f"input file not found: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        n_lines = sum(1 for _ in fh)  # at least the number of CSV records
+        fh.seek(0)
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
+            raise IngestError(f"{path}: file is empty")
+        if len(header) < 2:
+            raise IngestError(
+                f"{path}: header must hold a region column and at least one {column}"
+            )
+        header = [c.strip() for c in header]
+        names = []
+        values = np.empty((n_lines - 1, len(header) - 1), dtype=dtype)
+        for i, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise IngestError(
+                    f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
+                )
+            names.append(row[0].strip())
+            try:
+                values[i - 2] = row[1:]
+            except (ValueError, OverflowError):
+                raise _reference_bad_cell(path, column, header, row, i, values[i - 2]) from None
+    values = values[: len(names)]
+    if values.dtype.kind == "f":
+        _reject_cells(path, ~np.isfinite(values), lambda r, c: f"non-finite value {values[r, c]}")
+    return header, names, values
+
+
+def _reference_bad_cell(path, column, header, row, i, out) -> IngestError:
+    """The error for the first cell of data row ``i`` that ``out`` cannot hold."""
+    for j, cell in enumerate(row[1:], start=2):
+        try:
+            out[j - 2] = cell
+        except OverflowError:
+            return _cell_error(path, i, j, f"{column} {cell!r} out of range")
+        except ValueError:
+            if not cell.strip():
+                problem = (
+                    f"missing value for region {row[0].strip()!r}, "
+                    f"{column} {header[j - 1]!r}"
+                )
+            elif out.dtype.kind == "i":
+                problem = f"non-integer {column} {cell!r}"
+            else:
+                problem = f"non-numeric value {cell!r}"
+            return _cell_error(path, i, j, problem)
+
+
+def _outcome(read, path, dtype):
+    """What ``read`` makes of ``path``: the IngestError message, or the parsed table."""
+    try:
+        header, names, values = read(path, "column", dtype)
+    except IngestError as exc:
+        return str(exc)
+    return header, names, values.dtype, values.shape, values.tobytes()
+
+
+NAMES = ["Colombo", "Kandy, Central", 'Galle "Fort"', "Nuwara Eliya", "යාපනය", "Trincomalee"]
+
+
+def _number(rng, dtype):
+    """One value cell's text, in one of the forms a table may hold."""
+    if dtype is np.int64:
+        forms = [
+            lambda: str(int(rng.integers(-10**6, 10**6))),
+            lambda: str(int(rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max))),
+            lambda: f"+{int(rng.integers(0, 99))}",
+            lambda: f"00{int(rng.integers(0, 99))}",
+        ]
+    else:
+        forms = [
+            lambda: repr(float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))),
+            lambda: repr(float(rng.integers(0, 1000))),
+            lambda: f"{rng.standard_normal():.3e}",
+            lambda: f"{rng.random():.25f}",
+            lambda: str(int(rng.integers(-50, 50))),
+            lambda: rng.choice(["-0.0", "1E5", ".5", "5.", "+3", "-2e-308", "1e308"]),
+        ]
+    return forms[rng.integers(len(forms))]()
+
+
+def _cell(rng, text):
+    """``text`` as one CSV cell: quoted when it has to be and sometimes when
+    it need not be; space-padded sometimes when unquoted."""
+    if any(c in text for c in ',"\r\n') or rng.random() < 0.1:
+        return '"' + text.replace('"', '""') + '"'
+    return " " * rng.integers(0, 2) + text + " " * rng.integers(0, 2)
+
+
+def _random_table(rng, dtype):
+    """(header, rows) of a well-formed table with 1 to 300 value columns; a
+    header cell may hold a line break."""
+    d, n = int(rng.integers(1, 301)), int(rng.integers(1, 9))
+    header = ["region", *(f"c{j}" for j in range(d))]
+    if rng.random() < 0.2:
+        header[-1] = "two\nlines"
+    names = [f"{NAMES[rng.integers(len(NAMES))]} {i}" for i in range(n)]
+    return header, [[name, *(_number(rng, dtype) for _ in range(d))] for name in names]
+
+
+def _write_table_text(rng, path, header, rows, newline="\n", final_newline=True):
+    lines = [",".join(_cell(rng, c) for c in cells) for cells in [header, *rows]]
+    path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode("utf-8"))
+
+
+@pytest.mark.parametrize("dtype", [float, np.int64], ids=["float", "int64"])
+def test_reader_matches_reference_on_well_formed_tables(tmp_path, dtype):
+    """LF or CRLF, with or without a final newline, quoted and padded cells."""
+    rng = np.random.default_rng(11)
+    path = tmp_path / "table.csv"
+    for _ in range(40):
+        header, rows = _random_table(rng, dtype)
+        _write_table_text(rng, path, header, rows, rng.choice(["\n", "\r\n"]), rng.random() < 0.5)
+        expected = _outcome(_reference_read_table, path, dtype)
+        assert not isinstance(expected, str), expected
+        assert _outcome(_read_table, path, dtype) == expected
+
+
+def test_reader_matches_reference_on_fixture_tables(tmp_path):
+    for seed in range(3):
+        fix = generate_fixture(30, 60, 3, seed=seed)
+        write_epicurves(fix.epicurves, tmp_path / "epi.csv")
+        write_populations(fix.epicurves, tmp_path / "pop.csv")
+        write_features(fix.features, tmp_path / "feat.csv")
+        for name, dtype in (("epi.csv", float), ("pop.csv", np.int64), ("feat.csv", float)):
+            expected = _outcome(_reference_read_table, tmp_path / name, dtype)
+            assert not isinstance(expected, str), expected
+            assert _outcome(_read_table, tmp_path / name, dtype) == expected
+
+
+def _put_cell(text):
+    def fault(rng, rows):
+        i = rng.integers(len(rows))
+        rows[i][rng.integers(1, len(rows[i]))] = text
+        return rows
+    return fault
+
+
+def _copy_name(rng, rows):
+    if len(rows) > 1:
+        first, i = rng.choice(len(rows), size=2, replace=False)
+        rows[i][0] = rows[first][0]
+    return rows
+
+
+def _set_name(rng, rows):
+    rows[rng.integers(len(rows))][0] = ""
+    return rows
+
+
+def _widen(at):
+    def fault(rng, rows):
+        rows[at(rng, rows)].append("1")
+        return rows
+    return fault
+
+
+def _narrow(rng, rows):
+    rows[rng.integers(len(rows))].pop()
+    return rows
+
+
+def _insert(cells):
+    def fault(rng, rows):
+        rows.insert(int(rng.integers(len(rows) + 1)), list(cells))
+        return rows
+    return fault
+
+
+MALFORMED = {
+    # every case of test_bad_cell_named_at_its_row_and_column
+    "text": _put_cell("oops"),
+    "empty_cell": _put_cell(""),
+    "nan": _put_cell("nan"),
+    "minus_inf": _put_cell("-inf"),
+    "negative": _put_cell("-3"),
+    "fraction": _put_cell("2.5"),
+    "int64_overflow": _put_cell("9" * 20),
+    "zero": _put_cell("0"),
+    "duplicate_name": _copy_name,
+    "empty_name": _set_name,
+    # row widths and blank lines
+    "wide_first_row": _widen(lambda rng, rows: 0),
+    "wide_later_row": _widen(lambda rng, rows: rng.integers(len(rows))),
+    "narrow_row": _narrow,
+    "blank_line": _insert([]),
+    "spaces_line": _insert(["   "]),
+    "header_only": lambda rng, rows: [],
+}
+
+
+@pytest.mark.parametrize("fault", list(MALFORMED))
+@pytest.mark.parametrize("dtype", [float, np.int64], ids=["float", "int64"])
+def test_reader_matches_reference_on_malformed_tables(tmp_path, dtype, fault):
+    rng = np.random.default_rng(sorted(MALFORMED).index(fault))
+    path = tmp_path / "table.csv"
+    for _ in range(6):
+        header, rows = _random_table(rng, dtype)
+        rows = MALFORMED[fault](rng, rows)
+        _write_table_text(rng, path, header, rows, rng.choice(["\n", "\r\n"]), rng.random() < 0.5)
+        assert _outcome(_read_table, path, dtype) == _outcome(_reference_read_table, path, dtype)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "region", "\n", "\r\n\r\n", "region,c", "region,c\r\n", "region,c\n\n"]
+)
+def test_reader_matches_reference_on_degenerate_files(tmp_path, text):
+    """Empty and header-only files, with no numpy warning on the way."""
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for dtype in (float, np.int64):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(_read_table, path, dtype)
+        assert got == _outcome(_reference_read_table, path, dtype)
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        (["a", "1_000"], "column '1_000' is not a plain decimal number at row 3, column 2"),
+        (["a", " ١٢ "], "column ' ١٢ ' is not a plain decimal number at row 3, column 2"),
+        (["a", "１２"], "column '１２' is not a plain decimal number at row 3, column 2"),
+        (['"a\nb"', "1"], "line break in cell 'a\\nb' at row 3, column 1"),
+        (["a", '"1\r\n"'], "line break in cell '1\\r\\n' at row 3, column 2"),
+    ],
+    ids=["digit_separator", "arabic_indic_digits", "fullwidth_digits", "line_break_in_name",
+         "line_break_in_value"],
+)
+def test_reader_refuses_what_python_accepts(tmp_path, row, problem):
+    """Python's int, float and csv accept these; loadtxt and the line count do not."""
+    path = tmp_path / "table.csv"
+    path.write_text("region,c\nz,0\n" + ",".join(row) + "\n", encoding="utf-8", newline="")
+    for dtype in (float, np.int64):
+        assert not isinstance(_outcome(_reference_read_table, path, dtype), str)
+        with pytest.raises(IngestError, match=re.escape(f"{path}: {problem}")):
+            _read_table(path, "column", dtype)
+
+
+def test_unlocated_refusal_names_the_file(tmp_path, monkeypatch, capsys):
+    """A refusal the row scan cannot pin is still an IngestError naming the file."""
+    path = tmp_path / "epi.csv"
+    write_csv(path, ["region,2020-11-15", "a,1", "b,2"])
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: not a plain CSV table: refused$"):
+        load_epicurves(path)
+    assert main(["cluster", "--input", str(path), "--k", "2", "--out", str(tmp_path / "out")]) == 2
+    assert str(path) in capsys.readouterr().err
