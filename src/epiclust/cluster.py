@@ -5,7 +5,8 @@ frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
 
   kmeans                  Lloyd iterations with k-means++ seeding and
                           independent restarts; fully deterministic per seed.
-                          Each step assigns by one BLAS product (Gram form)
+                          The restarts of a call run in lockstep: each step
+                          assigns all of them by one BLAS product (Gram form)
                           and re-scores in the difference form the rows the
                           rounding bound cannot settle, so partitions and
                           inertia equal the difference form's bit for bit.
@@ -15,8 +16,11 @@ frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
   cluster_scalar_feature  1-D k-means with labels renumbered so cluster 0
                           holds the smallest values.
 
-Restart r draws its RNG stream from (seed, r), so results do not depend on
-evaluation order.
+Restart r draws its RNG stream from (seed, r) and follows its own trajectory,
+so results do not depend on evaluation order: run in lockstep, each restart
+makes the same draws and reaches the same partition as when run alone. Only
+``inertia_history`` entries before the last (Gram-form totals) may differ in
+their last bits, as they may between BLAS builds.
 """
 
 from __future__ import annotations
@@ -30,6 +34,16 @@ LAPLACIAN_KINDS = ("unnormalized", "symmetric_normalized")
 # Size of the (rows, n, d) difference block rbf_affinity squares at once; a
 # block of at least one row is always taken.
 AFFINITY_BLOCK_BYTES = 32 * 2**20
+# Restarts of one kmeans call run in lockstep groups that fit in this many
+# bytes; a group of at least one restart is always taken. At the peak of a
+# step a restart holds about n (11 k + 56) bytes (its (k, n) scores and masks
+# and a few (n,) rows) plus an RNG of about 2 KiB: 16 n (k + 4) + 2 KiB
+# bounds that for every k.
+KMEANS_GROUP_BYTES = 4 * 2**20
+# Size of the (rows, d) difference blocks k-means squares at once; a block of
+# at least one row is always taken. A block this small stays in cache, and no
+# temporary of the row distances grows with n.
+KMEANS_BLOCK_BYTES = 256 * 2**10
 
 
 @dataclass(frozen=True)
@@ -146,121 +160,165 @@ _GRAM_SLACK = 8.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def _assign(points, sq_norms, x_norm, rows, centroids):
-    """Nearest-centroid labels (first centroid on ties) and their summed
-    squared distances: Gram form, screened, re-scored in the difference form
-    where the screen cannot vouch for the argmin (see ``_GRAM_SLACK``)."""
-    c_norms = (centroids * centroids).sum(axis=1)
-    d2 = points @ centroids.T
+def _assign(points, sq_norms, x_norm, centroids):
+    """Nearest-centroid labels, shape (a, n), and summed squared distances,
+    shape (a,), for the (a, k, d) centroids of a restarts: Gram form, screened
+    per restart, re-scored in the difference form where the screen cannot
+    vouch for the argmin (see ``_GRAM_SLACK``). Ties go to the first centroid."""
+    a, k, _ = centroids.shape
+    c_norms = (centroids * centroids).sum(axis=2)
+    d2 = (centroids.reshape(a * k, -1) @ points.T).reshape(a, k, -1)
     d2 *= -2.0
-    d2 += sq_norms[:, None]
-    d2 += c_norms
-    labels = d2.argmin(axis=1)
-    row_min = d2[rows, labels]
-    radius = x_norm + np.sqrt(c_norms.max())
+    d2 += sq_norms
+    d2 += c_norms[:, :, None]
+    # first centroid on ties: a later one takes a row only when strictly
+    # closer, and its index exceeds every earlier label. A nan entry makes the
+    # row's minimum nan, which marks the row for re-scoring below
+    labels = np.zeros(d2[:, 0].shape, dtype=np.intp)
+    row_min = d2[:, 0].copy()
+    for c in range(1, k):
+        closer = np.multiply(d2[:, c] < row_min, c, dtype=np.intp)
+        np.maximum(labels, closer, out=labels)
+        np.minimum(row_min, d2[:, c], out=row_min)
+    radius = x_norm + np.sqrt(c_norms.max(axis=1))
     tol = (points.shape[1] + 2) * (_GRAM_SLACK * radius * radius + _TINY)
-    near = d2 <= (row_min + tol)[:, None]
-    total = row_min.sum()
-    # a finite total means no row is nan, so every row counts at least its
-    # own minimum as near; n near entries in all then mean no row has two
-    if np.count_nonzero(near) != len(rows) or not np.isfinite(total):
-        redo = np.flatnonzero(near.sum(axis=1) != 1)
-        exact = ((points[redo, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels[redo] = exact.argmin(axis=1)
-        row_min[redo] = exact[rows[: redo.size], labels[redo]]
-        total = row_min.sum()
-    return labels, float(total)
+    # a row is settled when every entry but its minimum lies beyond the band
+    # (a nan minimum, which compares false, leaves none beyond it)
+    far = d2 > (row_min + tol[:, None])[:, None, :]
+    unsettled = (far.sum(axis=1) != k - 1) | np.isnan(row_min)
+    for j in np.flatnonzero(unsettled.any(axis=1)):
+        redo = np.flatnonzero(unsettled[j])
+        exact = ((points[redo, None, :] - centroids[j]) ** 2).sum(axis=2)
+        labels[j, redo] = exact.argmin(axis=1)
+        row_min[j, redo] = exact[np.arange(redo.size), labels[j, redo]]
+    return labels, row_min.sum(axis=1)
 
 
-def _own_d2(points, centroids, labels):
-    """Squared distance of each row to its centroid, in the difference form."""
-    diff = centroids[labels]
-    np.subtract(points, diff, out=diff)
-    diff *= diff
-    return diff.sum(axis=1)
+def _sq_dists(points, centroids, labels=None):
+    """sum((x - c)^2) of each row x, in the difference form, a block of rows at
+    a time: c is ``centroids`` itself, shape (d,), or the row's own centroid
+    ``centroids[label]`` when ``labels`` is given."""
+    out = np.empty(points.shape[0])
+    step = max(1, KMEANS_BLOCK_BYTES // (8 * points.shape[1]))
+    for i in range(0, out.size, step):
+        c = centroids if labels is None else centroids[labels[i : i + step]]
+        diff = points[i : i + step] - c
+        diff *= diff
+        diff.sum(axis=1, out=out[i : i + step])
+    return out
 
 
-def _plusplus_init(points, k, rng):
+def _plusplus_seeds(points, k, rngs):
+    """k-means++ centroids, shape (len(rngs), k, d), one restart per RNG.
+
+    The restarts pick their centers in lockstep, one index at a time; each
+    draws from its own stream with the calls, in the order, of a restart
+    seeded alone, and keeps its own difference-form distance row."""
     n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    seeds = np.empty((len(rngs), k, points.shape[1]))
+    d2 = np.empty((len(rngs), n))
+    for j, rng in enumerate(rngs):
+        seeds[j, 0] = points[rng.integers(n)]
+        d2[j] = _sq_dists(points, seeds[j, 0])
     for i in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)  # all remaining points coincide with a centroid
-        centroids[i] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[i]) ** 2).sum(axis=1))
-    return centroids
+        totals = d2.sum(axis=1)
+        for j, rng in enumerate(rngs):
+            if totals[j] > 0:
+                idx = rng.choice(n, p=d2[j] / totals[j])
+            else:
+                idx = rng.integers(n)  # all remaining points coincide with a centroid
+            seeds[j, i] = points[idx]
+            np.minimum(d2[j], _sq_dists(points, seeds[j, i]), out=d2[j])
+    return seeds
 
 
-def _lloyd(points, k, cfg: KMeansConfig, rng, sq_norms, x_norm, rows):
-    centroids = _plusplus_init(points, k, rng)
-    history = []
-    labels = repeat = None  # repeat: last labels whose means fill every centroid
-    for _ in range(cfg.max_iters):
-        labels, total = _assign(points, sq_norms, x_norm, rows, centroids)
-        history.append(total)
-        if repeat is not None and np.array_equal(labels, repeat):
-            # the means of these labels are the current centroids, bit for
-            # bit: the next shift is 0 and these labels are final
+def _lloyd_group(points, k, cfg: KMeansConfig, restarts, sq_norms, x_norm):
+    """Lloyd iterations of the given restarts in lockstep.
+
+    Each step assigns every live restart with one ``_assign`` call; centroid
+    updates stay per restart and per cluster. A restart leaves when its labels
+    repeat after a step with no re-seed, when its centroids move less than
+    ``cfg.epsilon`` (one more assignment then gives its final labels) or at
+    ``cfg.max_iters``. Yields (labels, centroids, inertia, history) per
+    restart, in order, each equal bit for bit to a run of that restart alone.
+    """
+    g, n = len(restarts), points.shape[0]
+    centroids = _plusplus_seeds(points, k, [np.random.default_rng([cfg.seed, r]) for r in restarts])
+    histories = [[] for _ in range(g)]
+    final = np.empty((g, n), dtype=np.intp)
+    repeat = np.full((g, n), -1)  # last labels whose means fill every centroid
+    stale = np.zeros(g, dtype=bool)  # centroids moved < epsilon: the next labels are final
+    live = np.arange(g)
+    for step in range(cfg.max_iters + 1):
+        labels, totals = _assign(points, sq_norms, x_norm, centroids[live])
+        moving = ~stale[live] & (step < cfg.max_iters)
+        for j, total in zip(live[moving], totals[moving]):
+            histories[j].append(float(total))
+        # the means of repeated labels are the current centroids, bit for
+        # bit: the next shift is 0 and these labels are final
+        done = ~moving | (labels == repeat[live]).all(axis=1)
+        final[live[done]] = labels[done]
+        live, labels = live[~done], labels[~done]
+        if not live.size:
             break
-        counts = np.bincount(labels, minlength=k)
-        new_centroids = centroids.copy()
-        for c in np.flatnonzero(counts):
-            # bit-equal to .mean(axis=0), without its wrapper cost
-            new_centroids[c] = points[labels == c].sum(axis=0) / counts[c]
-        empty = np.flatnonzero(counts == 0)
-        repeat = None if empty.size else labels
-        if empty.size:
+        members = labels[:, None, :] == np.arange(k)[:, None]
+        counts = members.sum(axis=2)
+        old = centroids[live]
+        new = old.copy()
+        for i, row in enumerate(counts.tolist()):
+            for c, count in enumerate(row):
+                if count:
+                    np.add.reduce(points.compress(members[i, c], axis=0), axis=0, out=new[i, c])
+        filled = counts > 0
+        # sum / count: bit-equal to .mean(axis=0), without its wrapper cost
+        new[filled] /= counts[filled][:, None]
+        for i in np.flatnonzero(~filled.all(axis=1)):
             # re-seed each empty cluster with the point farthest from its
             # current centroid, never reusing a point twice
-            dist_to_own = _own_d2(points, centroids, labels)
-            for c in empty:
+            dist_to_own = _sq_dists(points, old[i], labels[i])
+            for c in np.flatnonzero(~filled[i]):
                 far = int(dist_to_own.argmax())
-                new_centroids[c] = points[far]
+                new[i, c] = points[far]
                 dist_to_own[far] = -1.0
-        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-        centroids = new_centroids
-        labels = None  # stale: they belong to the centroids just replaced
-        if shift < cfg.epsilon:
-            break
-    if labels is None:
-        labels, _ = _assign(points, sq_norms, x_norm, rows, centroids)
-    # exact, in the difference form's per-row values and summation order
-    inertia = float(_own_d2(points, centroids, labels).sum())
-    history.append(inertia)
-    return labels, centroids, inertia, tuple(history)
+        repeat[live] = np.where(filled.all(axis=1)[:, None], labels, -1)
+        shift = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
+        centroids[live] = new
+        stale[live] = shift < cfg.epsilon
+    for j, history in enumerate(histories):
+        # exact, in the difference form's per-row values and summation order
+        inertia = float(_sq_dists(points, centroids[j], final[j]).sum())
+        yield final[j].copy(), centroids[j].copy(), inertia, (*history, inertia)
 
 
 def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignment:
     """Cluster points into ``k`` groups, keeping the best of ``cfg.restarts``.
 
     Deterministic for a given seed; the winning restart is the one with the
-    lowest final inertia (first such on ties). Each Lloyd step scores all
-    rows with one matrix product (the Gram form |x|^2 - 2 x.c + |c|^2) and
-    re-scores in the difference form sum((x - c)^2) every row whose two
-    nearest centroids lie within the rounding bound of each other. Labels,
-    centroids and the final inertia therefore equal those of the difference
-    form bit for bit, exact ties going to the first centroid. Entries of
-    ``inertia_history`` before the last may carry Gram-form rounding; the
-    last is the exact ``inertia``. Non-finite points raise ``ValueError``.
+    lowest final inertia (first such on ties). Restart r draws its own RNG
+    stream from (seed, r). The restarts run in lockstep, in groups that fit
+    in ``KMEANS_GROUP_BYTES``, yet each follows the trajectory it would
+    follow alone. Each Lloyd step scores the rows against every live
+    restart's centroids with one matrix product (the Gram form
+    |x|^2 - 2 x.c + |c|^2) and re-scores in the difference form
+    sum((x - c)^2) every row whose two nearest centroids lie within the
+    rounding bound of each other. Labels, centroids and the final inertia
+    therefore equal those of the difference form bit for bit, exact ties
+    going to the first centroid. Entries of ``inertia_history`` before the
+    last may carry Gram-form rounding; the last is the exact ``inertia``.
+    Non-finite points raise ``ValueError``.
     """
     points = _as_points(points)
-    _check_k(k, points.shape[0])
-    sq_norms = (points * points).sum(axis=1)
+    n = points.shape[0]
+    _check_k(k, n)
+    sq_norms = _sq_dists(points, np.zeros(points.shape[1]))
     x_norm = np.sqrt(sq_norms.max())
-    rows = np.arange(points.shape[0])
+    size = max(1, KMEANS_GROUP_BYTES // (16 * n * (k + 4) + 2048))
     best = None
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        labels, centroids, inertia, history = _lloyd(
-            points, k, cfg, rng, sq_norms, x_norm, rows
-        )
-        if best is None or inertia < best[2]:
-            best = (labels, centroids, inertia, history)
+    for start in range(0, cfg.restarts, size):
+        restarts = range(start, min(start + size, cfg.restarts))
+        for result in _lloyd_group(points, k, cfg, restarts, sq_norms, x_norm):
+            if best is None or result[2] < best[2]:
+                best = result
     labels, centroids, inertia, history = best
     return ClusterAssignment(labels, k, centroids, inertia, inertia_history=history)
 

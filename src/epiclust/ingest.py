@@ -158,7 +158,10 @@ def _read_table(path, column, dtype=float):
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        n_lines = sum(1 for _ in fh)
+        try:
+            n_lines = sum(1 for _ in fh)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
         fh.seek(0)
         rows = csv.reader(fh)
         header = next(rows, None)
@@ -199,6 +202,22 @@ def _read_table(path, column, dtype=float):
     if values.dtype.kind == "f":
         _reject_cells(path, ~np.isfinite(values), lambda r, c: f"non-finite value {values[r, c]}")
     return header, names, values
+
+
+def _not_utf8(path) -> IngestError:
+    """The error for a file that does not decode as UTF-8, naming its first bad line.
+
+    A line break byte is never part of a multi-byte UTF-8 character, so the
+    file decodes exactly when each of its lines does."""
+    with open(path, "rb") as fh:
+        for i, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return IngestError(
+                    f"{path}: line {i} is not UTF-8 text: {exc.reason} at byte {exc.start + 1}"
+                )
+    return IngestError(f"{path}: not UTF-8 text")
 
 
 def _locate(path, column, header, dtype, refusal) -> IngestError:

@@ -10,12 +10,12 @@ import pytest
 
 from epiclust.align import best_permutation_dissimilarity
 from epiclust.cluster import (
+    KMEANS_GROUP_BYTES,
     ClusterAssignment,
     KMeansConfig,
     SpectralConfig,
     _assign,
     _check_k,
-    _plusplus_init,
     check_symmetric,
     cluster_scalar_feature,
     eigengap_suggest_k,
@@ -149,9 +149,26 @@ def test_kmeans_rejects_non_finite_points(bad):
 
 
 # --- kmeans against the difference-form reference -----------------------------
-# _reference_assign, _reference_lloyd and reference_kmeans are the earlier
-# k-means, kept verbatim: every step scores every row with the (n, k, d)
-# difference form. kmeans must reproduce it bit for bit.
+# _plusplus_init, _reference_assign, _reference_lloyd and reference_kmeans are
+# the earlier k-means, kept verbatim: one restart after another, each seeded
+# alone, and every step scores every row with the (n, k, d) difference form.
+# kmeans must reproduce it bit for bit.
+
+
+def _plusplus_init(points, k, rng):
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)  # all remaining points coincide with a centroid
+        centroids[i] = points[idx]
+        d2 = np.minimum(d2, ((points - centroids[i]) ** 2).sum(axis=1))
+    return centroids
 
 
 def _reference_assign(points, centroids):
@@ -239,8 +256,10 @@ def test_kmeans_matches_difference_form_reference(family):
         pts = ORACLE_FAMILIES[family](rng, n, d)
         k = 1 if case == 0 else int(rng.integers(1, min(n, 7) + 1))
         for max_iters in (1, 2, 300):
-            cfg = KMeansConfig(max_iters=max_iters, restarts=3, seed=int(rng.integers(1000)))
-            assert_same_as_reference(kmeans(pts, k, cfg), reference_kmeans(pts, k, cfg))
+            seed = int(rng.integers(1000))
+            for restarts in (1, 3, 10):
+                cfg = KMeansConfig(max_iters=max_iters, restarts=restarts, seed=seed)
+                assert_same_as_reference(kmeans(pts, k, cfg), reference_kmeans(pts, k, cfg))
 
 
 def test_kmeans_empty_cluster_reseed_matches_reference():
@@ -263,11 +282,8 @@ def test_kmeans_labels_repeating_after_a_reseed_keep_iterating(monkeypatch):
     points = np.array([[0.0], [1.0], [10.0]])
     start = np.array([[0.5], [6.0], [-5.0]])
 
-    def fake_init(points, k, rng):
-        return start.copy()
-
-    monkeypatch.setattr("epiclust.cluster._plusplus_init", fake_init)
-    monkeypatch.setattr(sys.modules[__name__], "_plusplus_init", fake_init)
+    monkeypatch.setattr("epiclust.cluster._plusplus_seeds", lambda points, k, rngs: np.array([start] * len(rngs)))
+    monkeypatch.setattr(sys.modules[__name__], "_plusplus_init", lambda points, k, rng: start.copy())
     cfg = KMeansConfig(restarts=1)
     want = reference_kmeans(points, 3, cfg)
     assert want.labels.tolist() == [2, 0, 1]
@@ -295,9 +311,66 @@ def test_exact_tie_goes_to_the_first_centroid():
     gram = (points**2).sum(1)[:, None] - 2.0 * points @ centroids.T + (centroids**2).sum(1)
     assert gram[0].argmin() == 1  # the case the screen exists for
     sq_norms = (points * points).sum(axis=1)
-    labels, total = _assign(points, sq_norms, np.sqrt(sq_norms.max()), np.arange(2), centroids)
-    assert labels.tolist() == [0, 0]
-    assert total == 0.0625 + 0.5625
+    labels, totals = _assign(points, sq_norms, np.sqrt(sq_norms.max()), centroids[None])
+    assert labels.tolist() == [[0, 0]]
+    assert totals.tolist() == [0.0625 + 0.5625]
+
+
+def test_screen_band_is_sized_per_restart():
+    # 1 is exactly 99999997.75 from both centroids of the second restart, but
+    # the Gram form puts the second one closer; only a band sized by that
+    # restart's own centroid norms, not the first restart's, sends the row to
+    # re-scoring
+    points = np.array([[1.0]])
+    centroids = np.array([[[0.0], [2.0]], [[99999998.75], [-99999996.75]]])
+    gram = (points**2).sum(1)[:, None] - 2.0 * points @ centroids[1].T + (centroids[1] ** 2).sum(1)
+    assert gram[0].argmin() == 1
+    sq_norms = (points * points).sum(axis=1)
+    labels, totals = _assign(points, sq_norms, np.sqrt(sq_norms.max()), centroids)
+    assert labels.tolist() == [[0], [0]]
+    assert totals.tolist() == [1.0, 99999997.75**2]
+
+
+def test_kmeans_groups_and_blocks_match_the_reference(monkeypatch):
+    # restarts alone, in groups of three (the last one short) and all ten in
+    # one group: the winner is the first restart with the lowest inertia,
+    # across groups too; grid points make many restarts tie on inertia. Row
+    # distances are taken a few rows at a time, rarely a divisor of n.
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        n, d = int(rng.integers(5, 60)), int(rng.integers(1, 4))
+        pts = rng.integers(0, 3, (n, d)).astype(float)
+        k = int(rng.integers(1, min(n, 5) + 1))
+        cfg = KMeansConfig(restarts=10, seed=int(rng.integers(1000)))
+        want = reference_kmeans(pts, k, cfg)
+        for budget in (1, 3 * (16 * n * (k + 4) + 2048), KMEANS_GROUP_BYTES):
+            monkeypatch.setattr("epiclust.cluster.KMEANS_GROUP_BYTES", budget)
+            monkeypatch.setattr("epiclust.cluster.KMEANS_BLOCK_BYTES", 8 * d * int(rng.integers(1, n)) + 7)
+            assert_same_as_reference(kmeans(pts, k, cfg), want)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kmeans_county_scale_memory_bounded():
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((3142, 240)) + 2.0 * rng.integers(0, 3, (3142, 1))
+    # one (n, d) temporary at a time; a second one, or seeding or inertia
+    # batched over the restarts as (restarts, n, d), breaks this
+    assert _traced_peak(kmeans, pts, 3) < 1.5 * pts.nbytes
+
+
+def test_kmeans_many_restarts_stay_within_the_group_budget():
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((20, 2)) + 4.0 * rng.integers(0, 2, (20, 1))
+    # one group of all 5000 restarts holds about 16 MiB here
+    assert _traced_peak(kmeans, pts, 2, KMeansConfig(restarts=5000)) < KMEANS_GROUP_BYTES
 
 
 # --- affinity / laplacian / eigengap -----------------------------------------
@@ -364,14 +437,8 @@ def test_rbf_blocked_matches_one_shot_bit_for_bit(monkeypatch):
 
 def test_rbf_county_scale_memory_bounded():
     pts = np.random.default_rng(0).standard_normal((3142, 30))
-    tracemalloc.start()
-    try:
-        rbf_affinity(pts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # the unblocked (n, n, d) difference tensor alone is 2.2 GiB here
-    assert peak < 512 * 2**20
+    assert _traced_peak(rbf_affinity, pts) < 512 * 2**20
 
 
 def test_laplacian_two_node_path():

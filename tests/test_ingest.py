@@ -304,6 +304,25 @@ def test_load_epicurves_blank_line_named(tmp_path):
             load_epicurves(path)
 
 
+@pytest.mark.parametrize("table", ["epicurves", "populations", "features"])
+def test_latin1_table_exits_2_naming_the_file_and_line(tmp_path, capsys, table):
+    fix = generate_fixture(8, 10, 2, seed=0)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("epicurves", "populations", "features")}
+    write_epicurves(fix.epicurves, paths["epicurves"])
+    write_populations(fix.epicurves, paths["populations"])
+    write_features(fix.features, paths["features"])
+    lines = paths[table].read_text().splitlines()
+    row = 5
+    lines[row - 1] = "G\u00e9nova" + lines[row - 1][lines[row - 1].index(","):]
+    paths[table].write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    argv = ["associate", "--k", "2", "--out", str(tmp_path / "out")]
+    for name, flag in (("epicurves", "--input"), ("populations", "--populations"), ("features", "--features")):
+        argv += [flag, str(paths[name])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{paths[table]}: line {row} is not UTF-8 text: invalid continuation byte at byte 2" in err
+
+
 # --- the reader against the csv reader it replaced ------------------------------
 # _reference_read_table and _reference_bad_cell are the earlier reader, kept
 # verbatim: csv.reader splits each row and numpy converts each cell with
