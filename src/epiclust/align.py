@@ -15,8 +15,8 @@ labelings, so a relabeling's cost is a sum of k entries of one k x k cost
 matrix M, in exact integer arithmetic. The search is an exact subset DP over
 the columns of M (Held-Karp style, O(2^k k^2) per table, limited to
 k <= 12); ties go to the lexicographically smallest relabeling. The Monte
-Carlo null stacks every trial's table and runs the same DP on all of them
-at once.
+Carlo null draws every trial's labeling of a cell from one RNG stream,
+stacks their tables and runs the same DP on all of them at once.
 """
 
 from __future__ import annotations
@@ -154,6 +154,16 @@ def best_permutation_dissimilarity(a, b, k: int, metric: str = "squared") -> Ali
     )
 
 
+def _null_labelings(b, k, trials, seed, mode):
+    """The (trials, n) labelings of one null cell, trial t in row t, drawn
+    in row order from one ``default_rng(seed)`` stream: the first T rows of
+    a longer draw are the T-trial draw."""
+    rng = np.random.default_rng(seed)
+    if mode == "uniform":
+        return rng.integers(0, k, size=(trials, b.size))
+    return rng.permuted(np.tile(b, (trials, 1)), axis=1)
+
+
 def random_baseline(
     b,
     k: int,
@@ -167,20 +177,17 @@ def random_baseline(
     """Mean and std of the dissimilarity between random labelings and ``b``.
 
     Each trial draws a fresh label array (``uniform``: i.i.d. labels over
-    [0, k); ``shuffle``: a size-preserving permutation of ``b``) from an RNG
-    stream keyed by (seed, trial), then aligns it against ``b``. Std is the
-    population standard deviation over trials. Pass the observed cost as
-    ``sm1`` to get its deviation from the null recorded alongside.
+    [0, k); ``shuffle``: a size-preserving permutation of ``b``), all from
+    one RNG stream keyed by ``seed``, then aligns it against ``b``. Std is
+    the population standard deviation over trials. Pass the observed cost
+    as ``sm1`` to get its deviation from the null recorded alongside.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if mode not in ("uniform", "shuffle"):
         raise ValueError(f"unknown mode {mode!r}; expected 'uniform' or 'shuffle'")
     b, _ = _check_labels(b, b, k, metric)
-    drawn = np.empty((trials, b.size), dtype=np.int64)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        drawn[t] = rng.integers(0, k, size=b.size) if mode == "uniform" else rng.permutation(b)
+    drawn = _null_labelings(b, k, trials, seed, mode)
     # one bincount fills every trial's k x k table: trial t owns cells t*k*k ..
     cells = drawn * k + b + (np.arange(trials) * k * k)[:, None]
     tables = np.bincount(cells.reshape(-1), minlength=trials * k * k).reshape(trials, k, k)

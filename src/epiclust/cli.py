@@ -35,7 +35,7 @@ import numpy as np
 
 from .align import METRICS, balance_check
 from .cluster import ALGORITHMS, LAPLACIAN_KINDS, KMeansConfig, SpectralConfig, _check_k
-from .ingest import IngestError, _read_table, _write_table, load_epicurves, load_features
+from .ingest import IngestError, _write_table, load_epicurves, load_features
 from .pipeline import (
     PREP_SCOPES,
     _cluster_window,
@@ -46,7 +46,7 @@ from .pipeline import (
 from .preprocess import PREPROCESS_KINDS, apply_preprocess
 from .synth import generate_fixture, write_fixture
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 ASSOCIATION_HEADER = ["feature", "window", "sm1", "sm2_mean", "sm2_std", "deviation"]
 
 
@@ -56,33 +56,6 @@ ASSOCIATION_HEADER = ["feature", "window", "sm1", "sm2_mean", "sm2_std", "deviat
 
 def write_matrix_csv(matrix, row_labels, col_labels, path, corner="") -> None:
     _write_table(path, [corner, *col_labels], row_labels, np.asarray(matrix, dtype=float))
-
-
-def read_matrix_csv(path):
-    """Re-parse a matrix CSV written by write_matrix_csv."""
-    header, row_labels, values = _read_table(path, "column")
-    return row_labels, header[1:], values
-
-
-def read_association_csv(path):
-    """Re-parse association.csv into a list of row dicts with typed values."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ASSOCIATION_HEADER:
-            raise IngestError(f"{path}: unexpected header {reader.fieldnames}")
-        rows = []
-        for row in reader:
-            rows.append(
-                {
-                    "feature": row["feature"],
-                    "window": int(row["window"]),
-                    "sm1": float(row["sm1"]),
-                    "sm2_mean": float(row["sm2_mean"]),
-                    "sm2_std": float(row["sm2_std"]),
-                    "deviation": float(row["deviation"]),
-                }
-            )
-    return rows
 
 
 def _heat_color(value, lo, hi):

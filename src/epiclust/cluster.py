@@ -208,12 +208,32 @@ def _sq_dists(points, centroids, labels=None):
     return out
 
 
+def _weighted_draws(weights, rngs):
+    """Per row j of ``weights``, the index ``rngs[j].choice(n, p=weights[j] /
+    total)`` draws, with the same stream use: numpy's own inverse CDF, batched
+    over the rows, without ``choice``'s per-call checks. A row of zeros draws
+    ``integers(n)``; a total that is not finite (the squared distances of
+    finite points can overflow) raises ``ValueError``, as ``choice`` does."""
+    totals = weights.sum(axis=1)
+    if not np.isfinite(totals).all():
+        raise ValueError("k-means++ weights are not finite: the squared distances overflow")
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows of zeros, never searched
+        cdf = np.cumsum(weights / totals[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+    n = weights.shape[1]
+    return [
+        cdf[j].searchsorted(rng.random(), side="right") if totals[j] > 0 else rng.integers(n)
+        for j, rng in enumerate(rngs)
+    ]
+
+
 def _plusplus_seeds(points, k, rngs):
     """k-means++ centroids, shape (len(rngs), k, d), one restart per RNG.
 
     The restarts pick their centers in lockstep, one index at a time; each
-    draws from its own stream with the calls, in the order, of a restart
-    seeded alone, and keeps its own difference-form distance row."""
+    draws from its own stream what a restart seeded alone draws with
+    ``integers`` and ``choice`` (see ``_weighted_draws``), and keeps its own
+    difference-form distance row."""
     n = points.shape[0]
     seeds = np.empty((len(rngs), k, points.shape[1]))
     d2 = np.empty((len(rngs), n))
@@ -221,12 +241,7 @@ def _plusplus_seeds(points, k, rngs):
         seeds[j, 0] = points[rng.integers(n)]
         d2[j] = _sq_dists(points, seeds[j, 0])
     for i in range(1, k):
-        totals = d2.sum(axis=1)
-        for j, rng in enumerate(rngs):
-            if totals[j] > 0:
-                idx = rng.choice(n, p=d2[j] / totals[j])
-            else:
-                idx = rng.integers(n)  # all remaining points coincide with a centroid
+        for j, idx in enumerate(_weighted_draws(d2, rngs)):
             seeds[j, i] = points[idx]
             np.minimum(d2[j], _sq_dists(points, seeds[j, i]), out=d2[j])
     return seeds

@@ -147,40 +147,40 @@ def _read_table(path, column, dtype=float):
 
     ``header`` holds every stripped header cell, the region column's
     included; ``values`` has one row per data row. The header line is read
-    with ``csv``; the body in one streaming pass of ``np.loadtxt``, numpy's
-    C tokenizer and number parser, with ``"`` quoting as in RFC 4180.
-    ``loadtxt`` skips blank lines and sizes its rows by the first one, so a
-    body whose record count differs from its line count, or whose width
-    differs from the header's, is refused too. Whatever the C reader
-    refuses goes to ``_locate`` for an error that names the row or cell.
+    with ``csv``; the body in one streaming pass of ``np.loadtxt`` (numpy's C
+    tokenizer and number parser, ``"`` quoting as in RFC 4180) that also
+    counts its lines. ``loadtxt`` skips blank lines and sizes its rows by the
+    first one, so a body whose record count differs from its line count, or
+    whose width differs from the header's, is refused too. Whatever the C
+    reader refuses goes to ``_locate`` for an error that names the row or
+    cell; a file that is not UTF-8 is refused by ``_not_utf8`` first.
     """
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            n_lines = sum(1 for _ in fh)
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
-        fh.seek(0)
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None:
-            raise IngestError(f"{path}: file is empty")
-        if len(header) < 2:
-            raise IngestError(
-                f"{path}: header must hold a region column and at least one {column}"
-            )
-        header = [c.strip() for c in header]
-        n_records = n_lines - rows.line_num  # when no record is blank or spans lines
-        names = []
+    names, n_lines = [], 0
 
-        def name(cell):
-            names.append(cell.strip())
-            return 0
+    def name(cell):
+        names.append(cell.strip())
+        return 0
 
-        table = np.empty((0, len(header)), dtype=dtype)
-        if n_records:
+    def body(fh):
+        nonlocal n_lines
+        for line in fh:
+            n_lines += 1
+            yield line
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header is None:
+                raise IngestError(f"{path}: file is empty")
+            if len(header) < 2:
+                raise IngestError(
+                    f"{path}: header must hold a region column and at least one {column}"
+                )
+            header = [c.strip() for c in header]
             try:
                 with warnings.catch_warnings():
                     # Some numpy releases parse an integer cell such as "2.5" via
@@ -188,24 +188,28 @@ def _read_table(path, column, dtype=float):
                     warnings.filterwarnings(
                         "error", r"loadtxt\(\): Parsing an integer via a float", DeprecationWarning
                     )
-                    # A body of blank lines reads as no data; the shape check names it.
+                    # An empty or blank body reads as no data; the shape check names a blank one.
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                     table = np.loadtxt(
-                        fh, dtype=dtype, comments=None, delimiter=",", converters={0: name},
+                        body(fh), dtype=dtype, comments=None, delimiter=",", converters={0: name},
                         ndmin=2, encoding="utf-8", quotechar='"',
                     )
             except ValueError as exc:
                 raise _locate(path, column, header, dtype, exc) from None
-    if table.shape != (n_records, len(header)):
+    except (IngestError, UnicodeDecodeError) as exc:
+        raise _not_utf8(path) or exc from None
+    # as many records as lines, when no record is blank or spans lines
+    if n_lines and table.shape != (n_lines, len(header)):
         raise _locate(path, column, header, dtype, "a blank line or a line break in a cell")
-    values = table[:, 1:]
+    values = table[:, 1:] if n_lines else np.empty((0, len(header) - 1), dtype=dtype)
     if values.dtype.kind == "f":
         _reject_cells(path, ~np.isfinite(values), lambda r, c: f"non-finite value {values[r, c]}")
     return header, names, values
 
 
-def _not_utf8(path) -> IngestError:
-    """The error for a file that does not decode as UTF-8, naming its first bad line.
+def _not_utf8(path) -> IngestError | None:
+    """The error for a file that does not decode as UTF-8, naming its first
+    bad line, or None when it decodes.
 
     A line break byte is never part of a multi-byte UTF-8 character, so the
     file decodes exactly when each of its lines does."""
@@ -217,7 +221,7 @@ def _not_utf8(path) -> IngestError:
                 return IngestError(
                     f"{path}: line {i} is not UTF-8 text: {exc.reason} at byte {exc.start + 1}"
                 )
-    return IngestError(f"{path}: not UTF-8 text")
+    return None
 
 
 def _locate(path, column, header, dtype, refusal) -> IngestError:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from epiclust.align import best_permutation_dissimilarity
-from epiclust.cli import main, read_association_csv
+from epiclust.cli import main
 from epiclust.cluster import (
     KMeansConfig,
     kmeans,
@@ -22,6 +22,7 @@ from epiclust.cluster import (
 )
 from epiclust.ingest import EpicurveMatrix
 from epiclust.preprocess import minmax_rows, population_normalize, zscore_rows
+from report_readers import read_association_csv
 
 
 def report(number, name, t0):

@@ -7,6 +7,7 @@ import pytest
 
 from epiclust.align import (
     BaselineResult,
+    _null_labelings,
     balance_check,
     best_permutation_dissimilarity,
     random_baseline,
@@ -199,8 +200,7 @@ def test_baseline_deterministic_full_result():
 def test_baseline_mean_std_match_manual_recompute():
     b = np.array([0, 1, 0, 1, 1, 0, 1])
     costs = []
-    for t in range(25):
-        drawn = np.random.default_rng([9, t]).integers(0, 2, b.size)
+    for drawn in np.random.default_rng(9).integers(0, 2, (25, b.size)):
         costs.append(best_permutation_dissimilarity(drawn, b, 2).cost)
     r = random_baseline(b, 2, trials=25, seed=9)
     assert r.sm2_mean == np.mean(costs)
@@ -215,11 +215,14 @@ def test_baseline_equals_per_trial_loop(mode, metric):
     rng = np.random.default_rng(53)
     for k in (1, 2, 3, 4):
         b = rng.integers(0, k, int(rng.integers(1, 16)))
-        costs = []
-        for t in range(20):
-            draw = np.random.default_rng([6, t])
-            drawn = draw.integers(0, k, b.size) if mode == "uniform" else draw.permutation(b)
-            costs.append(brute_force_cost(drawn.tolist(), b.tolist(), k, metric))
+        draw = np.random.default_rng(6)
+        if mode == "uniform":
+            drawn = draw.integers(0, k, (20, b.size))
+        else:
+            drawn = np.array([b] * 20)
+            for row in drawn:  # one row after another, from the one stream
+                draw.shuffle(row)
+        costs = [brute_force_cost(row.tolist(), b.tolist(), k, metric) for row in drawn]
         mean = float(np.mean(costs))
         expected = BaselineResult(0.25, mean, float(np.std(costs)), 20, mean - 0.25)
         assert random_baseline(b, k, 20, 6, sm1=0.25, metric=metric, mode=mode) == expected
@@ -227,11 +230,33 @@ def test_baseline_equals_per_trial_loop(mode, metric):
 
 def test_baseline_shuffle_mode_preserves_sizes():
     b = np.array([0] * 8 + [1] * 3 + [2] * 2)
-    for t in range(10):
-        drawn = np.random.default_rng([4, t]).permutation(b)
-        assert np.array_equal(np.bincount(drawn), np.bincount(b))
+    drawn = _null_labelings(b, 3, 10, 4, "shuffle")
+    assert drawn.shape == (10, b.size)
+    for row in drawn:
+        assert np.array_equal(np.bincount(row, minlength=3), np.bincount(b))
+    assert len({row.tobytes() for row in drawn}) > 1  # the rows are shuffled
     r = random_baseline(b, 3, trials=10, seed=4, mode="shuffle")
-    assert r.sm2_mean >= 0.0
+    costs = [best_permutation_dissimilarity(row, b, 3).cost for row in drawn]
+    assert (r.sm2_mean, r.sm2_std) == (np.mean(costs), np.std(costs))
+
+
+@pytest.mark.parametrize("mode", ["uniform", "shuffle"])
+def test_null_trials_are_a_prefix_of_a_longer_draw(mode):
+    # one stream per cell, trial t in row t: the first T trials of a 2T-trial
+    # draw are the T-trial draw, and shuffled rows keep the sizes of b
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        k = int(rng.integers(1, 7))
+        b = rng.integers(0, k, int(rng.integers(1, 40)))
+        trials, seed = int(rng.integers(1, 50)), int(rng.integers(2**32))
+        short = _null_labelings(b, k, trials, seed, mode)
+        long = _null_labelings(b, k, 2 * trials, seed, mode)
+        assert short.shape == (trials, b.size)
+        assert np.array_equal(long[:trials], short)
+        assert long.min() >= 0 and long.max() < k
+        if mode == "shuffle":
+            sizes = np.bincount(b, minlength=k)
+            assert all(np.array_equal(np.bincount(row, minlength=k), sizes) for row in long)
 
 
 def test_balance_check_boundary():

@@ -7,10 +7,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from epiclust.cli import build_parser, main, read_association_csv, read_matrix_csv
+from epiclust.cli import build_parser, main
 from epiclust.cluster import KMeansConfig, SpectralConfig
 from epiclust.ingest import load_epicurves, load_features
 from epiclust.pipeline import feature_association, temporal_stability
+from report_readers import read_association_csv, read_matrix_csv
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ def test_stability_file_contract(fixture_dir, tmp_path):
     ]
     assert len(list(tmp_path.glob("stability_*.svg"))) == 4
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["schema_version"] == "1"
+    assert summary["schema_version"] == "2"
     assert summary["selected"]["prep"] == "none"
     assert len(summary["techniques"]) == 4
     for tech in summary["techniques"]:
@@ -97,7 +98,7 @@ def test_associate_file_contract(fixture_dir, tmp_path):
         assert row["deviation"] == row["sm2_mean"] - row["sm1"]
 
     report = json.loads((tmp_path / "association.json").read_text())
-    assert report["schema_version"] == "1"
+    assert report["schema_version"] == "2"
     assert len(report["cells"]) == 44
     assert len(report["epidemic_labels"]) == 4
     assert (tmp_path / "association_deviation.svg").exists()

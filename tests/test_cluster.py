@@ -16,6 +16,7 @@ from epiclust.cluster import (
     SpectralConfig,
     _assign,
     _check_k,
+    _weighted_draws,
     check_symmetric,
     cluster_scalar_feature,
     eigengap_suggest_k,
@@ -371,6 +372,35 @@ def test_kmeans_many_restarts_stay_within_the_group_budget():
     pts = rng.standard_normal((20, 2)) + 4.0 * rng.integers(0, 2, (20, 1))
     # one group of all 5000 restarts holds about 16 MiB here
     assert _traced_peak(kmeans, pts, 2, KMeansConfig(restarts=5000)) < KMEANS_GROUP_BYTES
+
+
+def test_weighted_draws_match_generator_choice():
+    # 3,000 weight rows in batches of 1 to 5 rows of one length n: each row's
+    # index is the one Generator.choice(n, p=row / row total) returns from an
+    # identical stream, and both streams are left in the same state
+    rng = np.random.default_rng(29)
+    rows = 0
+    while rows < 3000:
+        n, batch = int(rng.integers(1, 201)), int(rng.integers(1, 6))
+        weights = rng.random((batch, n)) * 10.0 ** rng.integers(-300, 300, (batch, 1))
+        weights[rng.random((batch, n)) < rng.random()] = 0.0
+        weights[np.arange(batch), rng.integers(n, size=batch)] = 1.0 + rng.random(batch)
+        seeds = rng.integers(2**32, size=batch)
+        got = _weighted_draws(weights, [np.random.default_rng(s) for s in seeds])
+        totals = weights.sum(axis=1)
+        for j, seed in enumerate(seeds):
+            inline, alone = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _weighted_draws(weights[j : j + 1], [inline]) == [got[j]]
+            assert got[j] == alone.choice(n, p=weights[j] / totals[j])
+            assert inline.random() == alone.random()
+        rows += batch
+
+
+def test_kmeans_overflowing_distances_raise():
+    # finite points whose squared distances overflow leave no k-means++ weights
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError):
+            kmeans([[1e200], [-1e200], [0.0]], 2)
 
 
 # --- affinity / laplacian / eigengap -----------------------------------------

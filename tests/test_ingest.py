@@ -323,6 +323,23 @@ def test_latin1_table_exits_2_naming_the_file_and_line(tmp_path, capsys, table):
     assert f"{paths[table]}: line {row} is not UTF-8 text: invalid continuation byte at byte 2" in err
 
 
+@pytest.mark.parametrize("fault", ["bad_cell", "blank_line", "short_header"])
+def test_non_utf8_byte_far_down_a_faulty_table_is_named(tmp_path, fault):
+    """A byte that is not UTF-8 is the refusal even when a fault earlier in
+    the file reaches the reader first: here the byte sits about 160 KiB down,
+    past what one decoding step reads."""
+    header = "region" if fault == "short_header" else "region," + ",".join(f"c{j}" for j in range(50))
+    lines = [header, *(f"r{i}," + ",".join(["1.5"] * 50) for i in range(800))]
+    if fault == "bad_cell":
+        lines[2] = lines[2].replace("1.5", "oops", 1)
+    if fault == "blank_line":
+        lines[3] = ""
+    path = tmp_path / "table.csv"
+    path.write_bytes("\n".join(lines).encode("utf-8") + b"\nG\xe9nova,1\n")
+    with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: line 802 is not UTF-8 text"):
+        _read_table(path, "column")
+
+
 # --- the reader against the csv reader it replaced ------------------------------
 # _reference_read_table and _reference_bad_cell are the earlier reader, kept
 # verbatim: csv.reader splits each row and numpy converts each cell with
