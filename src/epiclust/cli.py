@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -476,16 +477,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call without ``--config``, built once per process;
+    ``_apply_config`` never writes to it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         if getattr(args, "config", None) is not None:
             try:
                 data = json.loads(Path(args.config).read_text(encoding="utf-8"))
             except ValueError as exc:
                 raise IngestError(f"{args.config}: not a valid JSON config: {exc}") from None
-            _apply_config(args.config, data, args.config_schema)
+            # the config's values become the defaults of a parser of this call's own
+            parser = build_parser()
+            _apply_config(args.config, data, parser.parse_args(argv).config_schema)
             args = parser.parse_args(argv)  # explicit flags still win
         return args.func(args)
     except (IngestError, FileNotFoundError, OSError) as exc:

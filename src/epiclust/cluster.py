@@ -18,9 +18,13 @@ frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
 
 Restart r draws its RNG stream from (seed, r) and follows its own trajectory,
 so results do not depend on evaluation order: run in lockstep, each restart
-makes the same draws and reaches the same partition as when run alone. Only
-``inertia_history`` entries before the last (Gram-form totals) may differ in
-their last bits, as they may between BLAS builds.
+makes the same draws and reaches the same partition as when run alone. The
+difference-form distances of k-means++ seeding and of the final inertia are
+taken for a whole group of restarts at once, in (restarts, rows, d) blocks of
+bounded size; each is still one sum over its row's d contiguous values, so
+it equals the one-centroid value bit for bit. Only ``inertia_history``
+entries before the last (Gram-form totals) may differ in their last bits, as
+they may between BLAS builds.
 """
 
 from __future__ import annotations
@@ -40,9 +44,11 @@ AFFINITY_BLOCK_BYTES = 32 * 2**20
 # and a few (n,) rows) plus an RNG of about 2 KiB: 16 n (k + 4) + 2 KiB
 # bounds that for every k.
 KMEANS_GROUP_BYTES = 4 * 2**20
-# Size of the (rows, d) difference blocks k-means squares at once; a block of
-# at least one row is always taken. A block this small stays in cache, and no
-# temporary of the row distances grows with n.
+# Size of the (restarts, rows, d) difference blocks k-means squares at once:
+# as many rows for every restart of a group as fit, or when one row for each
+# does not fit, one row for as many restarts as fit; a block of at least one
+# row of one restart is always taken. A block this small stays in cache, and
+# no temporary of the row distances grows with n or with the restart count.
 KMEANS_BLOCK_BYTES = 256 * 2**10
 
 
@@ -195,16 +201,27 @@ def _assign(points, sq_norms, x_norm, centroids):
 
 
 def _sq_dists(points, centroids, labels=None):
-    """sum((x - c)^2) of each row x, in the difference form, a block of rows at
-    a time: c is ``centroids`` itself, shape (d,), or the row's own centroid
-    ``centroids[label]`` when ``labels`` is given."""
-    out = np.empty(points.shape[0])
-    step = max(1, KMEANS_BLOCK_BYTES // (8 * points.shape[1]))
-    for i in range(0, out.size, step):
-        c = centroids if labels is None else centroids[labels[i : i + step]]
-        diff = points[i : i + step] - c
-        diff *= diff
-        diff.sum(axis=1, out=out[i : i + step])
+    """sum((x - c)^2) of each row x for each of a restarts, shape (a, n), in
+    the difference form: c is ``centroids[j]``, centroids of shape (a, d), or
+    with (a, n) ``labels`` the row's own centroid ``centroids[j][label]``,
+    centroids of shape (a, k, d). The differences are squared in (restarts,
+    rows, d) blocks within ``KMEANS_BLOCK_BYTES``; each value is one sum over
+    its row's d contiguous terms, whatever the block."""
+    (a, *_, d), n = centroids.shape, points.shape[0]
+    out = np.empty((a, n))
+    restarts = max(1, min(a, KMEANS_BLOCK_BYTES // (8 * d)))
+    rows = max(1, KMEANS_BLOCK_BYTES // (8 * d * restarts))
+    for j in range(0, a, restarts):
+        group = slice(j, j + restarts)
+        for i in range(0, n, rows):
+            x = points[i : i + rows]
+            if labels is None:
+                diff = x - centroids[group, None]
+            else:
+                diff = centroids[np.arange(a)[group, None], labels[group, i : i + rows]]
+                np.subtract(x, diff, out=diff)
+            diff *= diff
+            diff.sum(axis=2, out=out[group, i : i + rows])
     return out
 
 
@@ -236,14 +253,11 @@ def _plusplus_seeds(points, k, rngs):
     difference-form distance row."""
     n = points.shape[0]
     seeds = np.empty((len(rngs), k, points.shape[1]))
-    d2 = np.empty((len(rngs), n))
-    for j, rng in enumerate(rngs):
-        seeds[j, 0] = points[rng.integers(n)]
-        d2[j] = _sq_dists(points, seeds[j, 0])
+    seeds[:, 0] = points[[rng.integers(n) for rng in rngs]]
+    d2 = _sq_dists(points, seeds[:, 0])
     for i in range(1, k):
-        for j, idx in enumerate(_weighted_draws(d2, rngs)):
-            seeds[j, i] = points[idx]
-            np.minimum(d2[j], _sq_dists(points, seeds[j, i]), out=d2[j])
+        seeds[:, i] = points[_weighted_draws(d2, rngs)]
+        np.minimum(d2, _sq_dists(points, seeds[:, i]), out=d2)
     return seeds
 
 
@@ -290,7 +304,7 @@ def _lloyd_group(points, k, cfg: KMeansConfig, restarts, sq_norms, x_norm):
         for i in np.flatnonzero(~filled.all(axis=1)):
             # re-seed each empty cluster with the point farthest from its
             # current centroid, never reusing a point twice
-            dist_to_own = _sq_dists(points, old[i], labels[i])
+            dist_to_own = _sq_dists(points, old[i : i + 1], labels[i : i + 1])[0]
             for c in np.flatnonzero(~filled[i]):
                 far = int(dist_to_own.argmax())
                 new[i, c] = points[far]
@@ -299,9 +313,10 @@ def _lloyd_group(points, k, cfg: KMeansConfig, restarts, sq_norms, x_norm):
         shift = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
         centroids[live] = new
         stale[live] = shift < cfg.epsilon
-    for j, history in enumerate(histories):
-        # exact, in the difference form's per-row values and summation order
-        inertia = float(_sq_dists(points, centroids[j], final[j]).sum())
+    # exact, in the difference form's per-row values and summation order: each
+    # row of the (g, n) distances is contiguous, so its sum is a lone row's
+    inertias = _sq_dists(points, centroids, final).sum(axis=1).tolist()
+    for j, (history, inertia) in enumerate(zip(histories, inertias)):
         yield final[j].copy(), centroids[j].copy(), inertia, (*history, inertia)
 
 
@@ -325,7 +340,7 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignm
     points = _as_points(points)
     n = points.shape[0]
     _check_k(k, n)
-    sq_norms = _sq_dists(points, np.zeros(points.shape[1]))
+    sq_norms = _sq_dists(points, np.zeros((1, points.shape[1])))[0]
     x_norm = np.sqrt(sq_norms.max())
     size = max(1, KMEANS_GROUP_BYTES // (16 * n * (k + 4) + 2048))
     best = None

@@ -2,7 +2,11 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +296,27 @@ def test_config_file_writes_what_the_same_flags_write(fixture_dir, tmp_path, com
         assert (tmp_path / "from_config" / name).read_bytes() == (
             tmp_path / "from_flags" / name
         ).read_bytes()
+
+
+def test_config_values_do_not_reach_later_calls(fixture_dir, tmp_path):
+    # a call that builds on the once-built parser after a --config call writes
+    # what a fresh process writes
+    inputs = ["--input", fixture_dir / "epicurves.csv", "--features", fixture_dir / "features.csv",
+              "--prep", "none", "--algo", "kmeans", "--trials", "20"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 2, "seed": 3, "metric": "mismatch", "kmeans": {"restarts": 1}}))
+    assert run(["associate", *inputs, "--config", cfg, "--out", tmp_path / "configured"]) == 0
+    assert run(["associate", *inputs, "--out", tmp_path / "after"]) == 0
+    argv = [str(a) for a in ["associate", *inputs, "--out", tmp_path / "fresh"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "epiclust.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "after").iterdir())
+    for name in names:
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert json.loads((tmp_path / "configured" / "association.json").read_text())["k"] == 2
 
 
 @pytest.mark.parametrize(

@@ -10,12 +10,14 @@ import pytest
 
 from epiclust.align import best_permutation_dissimilarity
 from epiclust.cluster import (
+    KMEANS_BLOCK_BYTES,
     KMEANS_GROUP_BYTES,
     ClusterAssignment,
     KMeansConfig,
     SpectralConfig,
     _assign,
     _check_k,
+    _sq_dists,
     _weighted_draws,
     check_symmetric,
     cluster_scalar_feature,
@@ -263,6 +265,21 @@ def test_kmeans_matches_difference_form_reference(family):
                 assert_same_as_reference(kmeans(pts, k, cfg), reference_kmeans(pts, k, cfg))
 
 
+@pytest.mark.parametrize("d", [30, 129, 240])
+def test_kmeans_matches_difference_form_reference_at_wide_rows(d):
+    # the widths the benchmark clusters: numpy's pairwise row sum unrolls by 8
+    # from 8 terms on and splits rows of more than 128 terms in halves
+    rng = np.random.default_rng(d)
+    for family in sorted(ORACLE_FAMILIES):
+        for _ in range(2):
+            n = int(rng.integers(2, 25))
+            pts = ORACLE_FAMILIES[family](rng, n, d)
+            k = int(rng.integers(1, min(n, 5) + 1))
+            for max_iters in (1, 300):
+                cfg = KMeansConfig(max_iters=max_iters, restarts=3, seed=int(rng.integers(1000)))
+                assert_same_as_reference(kmeans(pts, k, cfg), reference_kmeans(pts, k, cfg))
+
+
 def test_kmeans_empty_cluster_reseed_matches_reference():
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -350,6 +367,26 @@ def test_kmeans_groups_and_blocks_match_the_reference(monkeypatch):
             assert_same_as_reference(kmeans(pts, k, cfg), want)
 
 
+def test_batched_sq_dists_rows_equal_the_one_centroid_form(monkeypatch):
+    # every row for every restart equals sum((x - c)^2) of that restart's own
+    # centroid alone, bit for bit, whatever the group size and block budget:
+    # blocks of one row, of part of the restarts, and of many rows of all
+    rng = np.random.default_rng(41)
+    for _ in range(120):
+        d = int(rng.choice([1, 8, 9, 128, 129, 240, int(rng.integers(1, 300))]))
+        n, a, k = int(rng.integers(1, 40)), int(rng.integers(1, 11)), int(rng.integers(1, 5))
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4) + rng.choice([0.0, 1e7])
+        centroids = pts[rng.integers(n, size=(a, k))] + rng.standard_normal((a, k, d))
+        labels = rng.integers(k, size=(a, n))
+        budget = int(8 * d * 10 ** rng.uniform(-1, np.log10(2 * a * n))) | 1
+        monkeypatch.setattr("epiclust.cluster.KMEANS_BLOCK_BYTES", budget)
+        plain, own = _sq_dists(pts, centroids[:, 0]), _sq_dists(pts, centroids, labels)
+        assert plain.shape == own.shape == (a, n)
+        for j in range(a):
+            assert plain[j].tobytes() == ((pts - centroids[j, 0]) ** 2).sum(axis=1).tobytes()
+            assert own[j].tobytes() == ((pts - centroids[j][labels[j]]) ** 2).sum(axis=1).tobytes()
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -362,8 +399,8 @@ def _traced_peak(fn, *args):
 def test_kmeans_county_scale_memory_bounded():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((3142, 240)) + 2.0 * rng.integers(0, 3, (3142, 1))
-    # one (n, d) temporary at a time; a second one, or seeding or inertia
-    # batched over the restarts as (restarts, n, d), breaks this
+    # one (n, d) temporary at a time; a second one breaks this, while seeding
+    # and inertia take all restarts' distances in blocks of bounded bytes
     assert _traced_peak(kmeans, pts, 3) < 1.5 * pts.nbytes
 
 
@@ -372,6 +409,19 @@ def test_kmeans_many_restarts_stay_within_the_group_budget():
     pts = rng.standard_normal((20, 2)) + 4.0 * rng.integers(0, 2, (20, 1))
     # one group of all 5000 restarts holds about 16 MiB here
     assert _traced_peak(kmeans, pts, 2, KMeansConfig(restarts=5000)) < KMEANS_GROUP_BYTES
+
+
+def test_sq_dists_of_wide_short_rows_stay_within_a_block_per_restart_group():
+    # 20 rows of 4,096 values, 1,000 restarts: one row for every restart is
+    # 31 MiB, so a block takes a few restarts; besides the (restarts, n)
+    # result only the block being squared and the one before it are alive.
+    # The centroids are broadcast views, so they cost nothing themselves.
+    pts = np.random.default_rng(0).standard_normal((20, 4096))
+    labels = np.random.default_rng(1).integers(2, size=(1000, 20))
+    for centroids, own in ((pts[0], None), (pts[:2], labels)):
+        centroids = np.broadcast_to(centroids, (1000, *centroids.shape))
+        peak = _traced_peak(_sq_dists, pts, centroids, own)
+        assert peak < 1000 * 20 * 8 + 3 * KMEANS_BLOCK_BYTES
 
 
 def test_weighted_draws_match_generator_choice():
