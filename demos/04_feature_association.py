@@ -1,7 +1,7 @@
 """Which scalar features look like the epidemic clusters, beyond chance?
 
-Each region carries scalar features; clustering a feature's values (with
-labels ordered by centroid, so label 0 = smallest values) gives a second
+Each region carries scalar features; clustering a feature's values by exact
+1-D k-means (labels ordered by centroid, so label 0 = smallest values) gives a second
 partition to compare against the epidemic clusters of each window. The
 dissimilarity of that comparison is SM1. A Monte Carlo baseline SM2 repeats
 the comparison with 100 random labelings; deviation = SM2 - SM1 is how far

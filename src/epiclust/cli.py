@@ -47,7 +47,7 @@ from .pipeline import (
 from .preprocess import PREPROCESS_KINDS, apply_preprocess
 from .synth import generate_fixture, write_fixture
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 ASSOCIATION_HEADER = ["feature", "window", "sm1", "sm2_mean", "sm2_std", "deviation"]
 
 

@@ -13,8 +13,9 @@ frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
   spectral_cluster        Gaussian affinity -> graph Laplacian -> LAPACK
                           symmetric eigendecomposition -> k-means on the
                           leading eigenvector rows.
-  cluster_scalar_feature  1-D k-means with labels renumbered so cluster 0
-                          holds the smallest values.
+  cluster_scalar_feature  exact 1-D k-means: dynamic programming over the
+                          sorted distinct values, with no seed and no
+                          restarts; cluster 0 holds the smallest values.
 
 Restart r draws its RNG stream from (seed, r) and follows its own trajectory,
 so results do not depend on evaluation order: run in lockstep, each restart
@@ -41,8 +42,9 @@ AFFINITY_BLOCK_BYTES = 32 * 2**20
 # Restarts of one kmeans call run in lockstep groups that fit in this many
 # bytes; a group of at least one restart is always taken. At the peak of a
 # step a restart holds about n (11 k + 56) bytes (its (k, n) scores and masks
-# and a few (n,) rows) plus an RNG of about 2 KiB: 16 n (k + 4) + 2 KiB
-# bounds that for every k.
+# and a few (n,) rows), about five (k, d) centroid arrays (current, old, new
+# and the shift temporaries) and an RNG of about 2 KiB:
+# 16 n (k + 4) + 48 k d + 2 KiB bounds that for every k and d.
 KMEANS_GROUP_BYTES = 4 * 2**20
 # Size of the (restarts, rows, d) difference blocks k-means squares at once:
 # as many rows for every restart of a group as fit, or when one row for each
@@ -50,6 +52,10 @@ KMEANS_GROUP_BYTES = 4 * 2**20
 # row of one restart is always taken. A block this small stays in cache, and
 # no temporary of the row distances grows with n or with the restart count.
 KMEANS_BLOCK_BYTES = 256 * 2**10
+# About how many candidate splits the first pass of a level of the exact
+# 1-D k-means scores. Each later pass takes rows a quarter as far apart; for
+# a level of R rows it scores fewer than 4 R + 4 candidates, whatever this is.
+SCALAR_PASS_SPLITS = 2**13
 
 
 @dataclass(frozen=True)
@@ -250,14 +256,15 @@ def _plusplus_seeds(points, k, rngs):
     The restarts pick their centers in lockstep, one index at a time; each
     draws from its own stream what a restart seeded alone draws with
     ``integers`` and ``choice`` (see ``_weighted_draws``), and keeps its own
-    difference-form distance row."""
+    difference-form distance row. Nothing reads the distances to the last
+    center, so they are taken to centers 0 .. k - 2 only."""
     n = points.shape[0]
     seeds = np.empty((len(rngs), k, points.shape[1]))
     seeds[:, 0] = points[[rng.integers(n) for rng in rngs]]
-    d2 = _sq_dists(points, seeds[:, 0])
     for i in range(1, k):
+        dists = _sq_dists(points, seeds[:, i - 1])
+        d2 = dists if i == 1 else np.minimum(d2, dists, out=d2)
         seeds[:, i] = points[_weighted_draws(d2, rngs)]
-        np.minimum(d2, _sq_dists(points, seeds[:, i]), out=d2)
     return seeds
 
 
@@ -342,7 +349,7 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignm
     _check_k(k, n)
     sq_norms = _sq_dists(points, np.zeros((1, points.shape[1])))[0]
     x_norm = np.sqrt(sq_norms.max())
-    size = max(1, KMEANS_GROUP_BYTES // (16 * n * (k + 4) + 2048))
+    size = max(1, KMEANS_GROUP_BYTES // (16 * n * (k + 4) + 48 * k * points.shape[1] + 2048))
     best = None
     for start in range(0, cfg.restarts, size):
         restarts = range(start, min(start + size, cfg.restarts))
@@ -475,21 +482,108 @@ def spectral_cluster(
     return spectral_from_affinity(rbf_affinity(points, cfg.sigma), k, cfg, kmeans_cfg)
 
 
-def cluster_scalar_feature(values, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignment:
-    """1-D k-means with cluster indexes pre-set in increasing centroid order.
+def _leftmost_splits(prev, sums, weights, rows, lo, hi):
+    """Per row r of ``rows``, the least prev[t] - (sums[r] - sums[t])^2 /
+    (weights[r] - weights[t]) over t in [lo, hi], and the leftmost t that
+    reaches it: one pass over all rows' candidate ranges laid end to end."""
+    # a range that rounding turned inside out keeps its lower end
+    widths = np.maximum(hi - lo, 0) + 1
+    ends = np.cumsum(widths)
+    offsets = ends - widths
+    t = np.arange(widths.sum()) - np.repeat(offsets - lo, widths)
+    diff = np.repeat(sums[rows], widths) - sums[t]
+    score = diff / (np.repeat(weights[rows], widths) - weights[t])
+    score *= diff
+    np.subtract(prev[t], score, out=score)
+    least = np.minimum.reduceat(score, offsets)
+    hits = np.flatnonzero(score == np.repeat(least, widths))
+    return least, t[hits[np.searchsorted(hits, offsets)]]
 
-    Label 0 always holds the smallest values, so labels carry meaning across
-    features and are directly comparable to other ordered labelings.
+
+def cluster_scalar_feature(values, k: int) -> ClusterAssignment:
+    """Exact 1-D k-means: the k clusters of least within-cluster sum of
+    squares (SSE), label 0 holding the smallest values.
+
+    An optimal 1-D partition is a set of runs of the sorted values, and
+    equal values share a run. The values are sorted once (stable
+    ``argsort``); a dynamic program over the m distinct values, weighted by
+    their counts, finds the best split of each prefix into j runs for
+    j = 1 .. k, each run's SSE taken from prefix sums of the values minus
+    their median. The leftmost optimal split of a prefix never moves left as
+    the prefix grows, so each level scores its rows in a few passes: each
+    pass takes rows a quarter as far apart as the one before and searches
+    each row only between the splits of its neighbours from earlier passes.
+    Ties go to the leftmost split. The result depends on the values alone.
+    The prefix sums round by about eps times the values' sum of squared
+    deviations from the median; where clusters lie a million times their
+    own spread apart or more, that can hide SSE differences and the result
+    may miss the optimum.
+
+    Centroids are member means and the inertia is summed in the difference
+    form, as ``kmeans`` computes them. When k exceeds m, each distinct
+    value is its own cluster, labels m .. k - 1 are unused and their
+    centroids are nan. Non-finite values raise ``ValueError``, as do values
+    whose squared deviations overflow.
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    km = kmeans(values[:, None], k, cfg)
-    order = np.argsort(km.centroids[:, 0], kind="stable")
-    rank = np.empty(k, dtype=np.int64)
-    rank[order] = np.arange(k)
-    return ClusterAssignment(
-        rank[km.labels],
-        k,
-        km.centroids[order],
-        km.inertia,
-        inertia_history=km.inertia_history,
-    )
+    values = _as_points(np.asarray(values, dtype=float).reshape(-1))[:, 0]
+    n = values.size
+    _check_k(k, n)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # the sorted positions where each distinct value starts
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    m, used = starts.size, min(k, starts.size)
+    # prefix sums over the distinct values, weighted by their counts and
+    # shifted by the median, which keeps them small where most values lie
+    counts = np.diff(starts, append=n)
+    weights, sums = np.zeros((2, m + 1))
+    np.cumsum(counts, out=weights[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        shifted = ordered[starts] - ordered[n // 2]
+        np.cumsum(counts * shifted, out=sums[1:])
+        total = (counts * shifted * shifted).sum()
+    if not np.isfinite(total):
+        raise ValueError("the squared deviations of the values overflow")
+    # A run of weight W and shifted sum S has SSE (its sum of squares) - S^2 / W,
+    # so a partition's SSE is the shifted values' total sum of squares minus
+    # the sum of S^2 / W over its runs. The total is the same for every
+    # partition: best[i] is the least -sum(S^2 / W) over j runs of the first
+    # i distinct values, and the scores never exceed the finite total.
+    best = np.full(m + 1, np.inf)
+    best[1:] = -sums[1:] * (sums[1:] / weights[1:])
+    splits = []
+    for j in range(2, used + 1):
+        # rows leave one value for each later run; the last level needs m only
+        low, high = (m, m) if j == used else (j, m - used + j)
+        prev, best = best, np.full(m + 1, np.inf)
+        split = np.zeros(m + 1, dtype=np.intp)
+        stride = 1
+        while (high - low + 1) ** 2 > 2 * SCALAR_PASS_SPLITS * stride:
+            stride *= 4
+        rows = np.append(np.arange(low, high, stride), high)
+        lo, hi = np.full(rows.size, j - 1), rows - 1
+        while True:
+            best[rows], split[rows] = _leftmost_splits(prev, sums, weights, rows, lo, hi)
+            if stride == 1:
+                break
+            step, stride = stride, stride // 4
+            rows = np.arange(low, high, stride)
+            rows = rows[(rows - low) % step > 0]
+            below = rows - (rows - low) % step
+            lo = split[below]
+            hi = np.minimum(split[np.minimum(below + step, high)], rows - 1)
+        splits.append(split)
+    cuts = [m]
+    for split in reversed(splits):
+        cuts.insert(0, int(split[cuts[0]]))
+    cuts.insert(0, 0)
+    # run c holds the distinct values cuts[c] .. cuts[c + 1] - 1
+    sizes = np.diff(np.append(starts[cuts[:-1]], n))
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = np.repeat(np.arange(used), sizes)
+    centroids = np.full((k, 1), np.nan)
+    for c in range(used):
+        members = values[labels == c]
+        centroids[c] = members.sum() / members.size
+    dev = values - centroids[labels, 0]
+    return ClusterAssignment(labels, k, centroids, float((dev * dev).sum()))

@@ -202,12 +202,15 @@ def feature_association(
 ) -> AssociationReport:
     """Score every feature against the per-window epidemic clusters.
 
-    Per window the regions are clustered with the chosen technique; per
-    feature the regions are clustered on the scalar values with ascending
-    label order. SM1 aligns the feature labels against the window's epidemic
-    labels; SM2 repeats the alignment with ``trials`` random labelings in
-    place of the feature (RNG keyed per (seed, window, feature) cell), so
-    deviation = SM2 - SM1 measures how far above chance the agreement is.
+    Per window the regions are clustered with the chosen technique
+    (``kmeans_cfg`` and ``spectral_cfg`` apply here only); per feature the
+    regions are clustered on the scalar values by exact 1-D k-means
+    (``cluster_scalar_feature``: no seed, no restarts), label 0 holding the
+    smallest values. SM1 aligns the feature labels against the window's
+    epidemic labels; SM2 repeats the alignment with ``trials`` random
+    labelings in place of the feature (RNG keyed per (seed, window, feature)
+    cell), so deviation = SM2 - SM1 measures how far above chance the
+    agreement is.
     """
     if f.region_names != m.region_names:
         raise ValueError(
@@ -219,8 +222,7 @@ def feature_association(
         m, prep, algo, k, kmeans_cfg, spectral_cfg, window_len, prep_scope
     )
     scalar = [
-        cluster_scalar_feature(f.values[:, i], k, kmeans_cfg)
-        for i in range(len(f.feature_names))
+        cluster_scalar_feature(f.values[:, i], k) for i in range(len(f.feature_names))
     ]
     cells = []
     for i, feature in enumerate(f.feature_names):

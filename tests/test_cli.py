@@ -55,7 +55,7 @@ def test_stability_file_contract(fixture_dir, tmp_path):
     ]
     assert len(list(tmp_path.glob("stability_*.svg"))) == 4
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["schema_version"] == "2"
+    assert summary["schema_version"] == "3"
     assert summary["selected"]["prep"] == "none"
     assert len(summary["techniques"]) == 4
     for tech in summary["techniques"]:
@@ -102,7 +102,7 @@ def test_associate_file_contract(fixture_dir, tmp_path):
         assert row["deviation"] == row["sm2_mean"] - row["sm1"]
 
     report = json.loads((tmp_path / "association.json").read_text())
-    assert report["schema_version"] == "2"
+    assert report["schema_version"] == "3"
     assert len(report["cells"]) == 44
     assert len(report["epidemic_labels"]) == 4
     assert (tmp_path / "association_deviation.svg").exists()

@@ -17,6 +17,7 @@ from epiclust.cluster import (
     SpectralConfig,
     _assign,
     _check_k,
+    _leftmost_splits,
     _sq_dists,
     _weighted_draws,
     check_symmetric,
@@ -308,19 +309,6 @@ def test_kmeans_labels_repeating_after_a_reseed_keep_iterating(monkeypatch):
     assert_same_as_reference(kmeans(points, 3, cfg), want)
 
 
-def test_scalar_feature_matches_reference(monkeypatch):
-    rng = np.random.default_rng(13)
-    cases = []
-    for _ in range(40):
-        n = int(rng.integers(2, 70))
-        values = rng.choice([rng.uniform(0, 100, n), rng.integers(0, 4, n) * 0.5, 1e7 + rng.poisson(2.0, n)])
-        cases.append((values, int(rng.integers(1, min(n, 6) + 1)), KMeansConfig(seed=int(rng.integers(1000)))))
-    got = [cluster_scalar_feature(*case) for case in cases]
-    monkeypatch.setattr("epiclust.cluster.kmeans", reference_kmeans)
-    for g, case in zip(got, cases):
-        assert_same_as_reference(g, cluster_scalar_feature(*case))
-
-
 def test_exact_tie_goes_to_the_first_centroid():
     # 123456789 is exactly 0.25 from both centroids (0.0625 in the difference
     # form), but the Gram form rounds the two squared distances to 0 and -2
@@ -402,6 +390,33 @@ def test_kmeans_county_scale_memory_bounded():
     # one (n, d) temporary at a time; a second one breaks this, while seeding
     # and inertia take all restarts' distances in blocks of bounded bytes
     assert _traced_peak(kmeans, pts, 3) < 1.5 * pts.nbytes
+
+
+def test_kmeans_groups_of_wide_short_rows_stay_within_the_group_budget():
+    # 20 rows of 4,096 values: a restart's (k, d) centroid arrays outweigh its
+    # (k, n) scores, so a group sized by n alone holds all 200 restarts
+    pts = np.random.default_rng(0).standard_normal((20, 4096))
+    peak = _traced_peak(kmeans, pts, 2, KMeansConfig(restarts=200))
+    assert peak < KMEANS_GROUP_BYTES + 3 * KMEANS_BLOCK_BYTES
+
+
+def test_kmeans_measures_no_distance_to_the_last_seeding_center(monkeypatch):
+    # one _sq_dists pass for the row norms, one per k-means++ center but the
+    # last, one for the inertia: four far blobs leave no cluster empty, so no
+    # re-seed adds a pass
+    rng = np.random.default_rng(5)
+    pts = np.repeat(100.0 * np.arange(4), 5)[:, None] + rng.standard_normal((20, 3))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _sq_dists(*args)
+
+    monkeypatch.setattr("epiclust.cluster._sq_dists", counted)
+    for k in range(1, 5):
+        calls.clear()
+        kmeans(pts, k)
+        assert len(calls) == k + 1
 
 
 def test_kmeans_many_restarts_stay_within_the_group_budget():
@@ -689,6 +704,154 @@ def exhaustive_scalar_optimum(values, k):
                 inertia += ((members - members.mean()) ** 2).sum()
         best = min(best, inertia)
     return best
+
+
+def contiguous_scalar_optimum(values, k):
+    """Least SSE over every split of the sorted values into k contiguous runs."""
+    ordered = np.sort(np.asarray(values, dtype=float))
+    best = np.inf
+    for cuts in itertools.combinations(range(1, ordered.size), k - 1):
+        runs = np.split(ordered, cuts)
+        best = min(best, sum(((run - run.mean()) ** 2).sum() for run in runs))
+    return best
+
+
+SCALAR_FAMILIES = {
+    "uniform": lambda rng, n: rng.uniform(0, 100, n),
+    # few distinct values: many runs of equal values and tied splits
+    "half_integer_grid": lambda rng, n: rng.integers(0, 4, n) * 0.5,
+    # a large common offset over unit steps
+    "offset_1e7": lambda rng, n: 1e7 + rng.poisson(2.0, n),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SCALAR_FAMILIES))
+def test_scalar_feature_sse_equals_the_exhaustive_optimum(family):
+    rng = np.random.default_rng(sorted(SCALAR_FAMILIES).index(family))
+    for _ in range(12):
+        n = int(rng.integers(1, 8))
+        values = SCALAR_FAMILIES[family](rng, n)
+        k = int(rng.integers(1, min(n, 3) + 1))
+        # more clusters than distinct values leave some empty, which the
+        # exhaustive search also allows
+        want = exhaustive_scalar_optimum(values, k)
+        assert cluster_scalar_feature(values, k).inertia == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 37, 2**13])
+def test_scalar_feature_sse_equals_the_best_contiguous_split(monkeypatch, budget):
+    # a budget this small makes each level take rows in several passes, each
+    # searching between the splits of the last pass
+    monkeypatch.setattr("epiclust.cluster.SCALAR_PASS_SPLITS", budget)
+    rng = np.random.default_rng(budget)
+    for _ in range(40):
+        n = int(rng.integers(1, 21))
+        values = SCALAR_FAMILIES[sorted(SCALAR_FAMILIES)[int(rng.integers(3))]](rng, n)
+        k = int(rng.integers(1, min(n, 5) + 1))
+        want = contiguous_scalar_optimum(values, k)
+        assert cluster_scalar_feature(values, k).inertia == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_scalar_feature_passes_agree_with_one_full_pass(monkeypatch):
+    rng = np.random.default_rng(23)
+    cases = [(rng.uniform(0, 100, n), k) for n in (200, 700) for k in (2, 3, 6)]
+    cases += [(rng.integers(0, 300, 900).astype(float), 4)]
+    monkeypatch.setattr("epiclust.cluster.SCALAR_PASS_SPLITS", 10**9)
+    full = [cluster_scalar_feature(*case) for case in cases]
+    for budget in (1, 64):
+        monkeypatch.setattr("epiclust.cluster.SCALAR_PASS_SPLITS", budget)
+        for case, want in zip(cases, full):
+            got = cluster_scalar_feature(*case)
+            assert np.array_equal(got.labels, want.labels)
+            assert got.inertia == want.inertia
+
+
+def test_scalar_feature_sse_is_never_above_kmeans():
+    # the same centroid and inertia arithmetic as kmeans: an equal partition
+    # gives an equal inertia, bit for bit
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n = int(rng.integers(2, 71))
+        values = SCALAR_FAMILIES[sorted(SCALAR_FAMILIES)[int(rng.integers(3))]](rng, n)
+        k = int(rng.integers(1, min(n, 6) + 1))
+        km = kmeans(values, k, KMeansConfig(seed=int(rng.integers(1000))))
+        assert cluster_scalar_feature(values, k).inertia <= km.inertia
+
+
+def test_scalar_feature_row_permutation_keeps_each_region_label():
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        n = int(rng.integers(2, 60))
+        values = SCALAR_FAMILIES[sorted(SCALAR_FAMILIES)[int(rng.integers(3))]](rng, n)
+        k = int(rng.integers(1, min(n, 6) + 1))
+        base = cluster_scalar_feature(values, k)
+        perm = rng.permutation(n)
+        shuffled = cluster_scalar_feature(values[perm], k)
+        assert np.array_equal(shuffled.labels, base.labels[perm])
+        assert shuffled.centroids[:, 0].tolist() == pytest.approx(base.centroids[:, 0].tolist(), nan_ok=True)
+
+
+def test_scalar_feature_equal_values_share_a_label():
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        n = int(rng.integers(2, 60))
+        values = rng.integers(0, int(rng.integers(2, 12)), n) * 0.25
+        labels = cluster_scalar_feature(values, int(rng.integers(1, min(n, 6) + 1))).labels
+        for v in np.unique(values):
+            assert np.unique(labels[values == v]).size == 1
+
+
+def test_scalar_feature_ties_go_to_the_leftmost_split():
+    # {0}{1, 2} and {0, 1}{2} both have SSE 0.5, exactly, in every term the
+    # split search computes; so do the same splits with each value twice
+    assert cluster_scalar_feature([2.0, 0.0, 1.0], 2).labels.tolist() == [1, 0, 1]
+    assert cluster_scalar_feature([0.0, 2.0, 1.0, 0.0, 2.0, 1.0], 2).labels.tolist() == [0, 1, 1, 0, 1, 1]
+
+
+def test_scalar_feature_more_clusters_than_distinct_values():
+    # three distinct values in five clusters: each value is its own cluster
+    # and labels 3 and 4 are unused, their centroids nan
+    sf = cluster_scalar_feature([2.0, 0.5, 2.0, 7.0, 0.5, 0.5], 5)
+    assert sf.labels.tolist() == [1, 0, 1, 2, 0, 0]
+    assert sf.centroids[:3, 0].tolist() == [0.5, 2.0, 7.0]
+    assert np.isnan(sf.centroids[3:]).all()
+    assert sf.inertia == 0.0
+    assert cluster_scalar_feature([4.0, 4.0, 4.0], 3).labels.tolist() == [0, 0, 0]
+
+
+def test_scalar_feature_survives_splits_that_rounding_puts_out_of_order(monkeypatch):
+    # two clusters 1e8 apart, each of unit spread: the prefix sums round by
+    # more than the SSE differences inside a cluster, so a row's split can
+    # land left of an earlier row's, and a row between them is searched at
+    # the lower end of its range only
+    inverted = []
+
+    def watched(prev, sums, weights, rows, lo, hi):
+        inverted.append(int((hi < lo).sum()))
+        return _leftmost_splits(prev, sums, weights, rows, lo, hi)
+
+    monkeypatch.setattr("epiclust.cluster._leftmost_splits", watched)
+    monkeypatch.setattr("epiclust.cluster.SCALAR_PASS_SPLITS", 1)
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        n = int(rng.integers(20, 60))
+        values = np.where(rng.random(n) < 0.5, 0.0, 1e8) + rng.standard_normal(n)
+        k = int(rng.integers(2, 8))
+        labels = cluster_scalar_feature(values, k).labels
+        assert np.all(np.diff(labels[np.argsort(values, kind="stable")]) >= 0)
+        assert labels.max() == k - 1
+    assert sum(inverted) > 0
+
+
+def test_scalar_feature_overflowing_deviations_raise():
+    with pytest.raises(ValueError, match="overflow"):
+        cluster_scalar_feature([1e200, -1e200, 0.0], 2)
+
+
+def test_scalar_feature_county_scale_memory_bounded():
+    # a full (m + 1)^2 matrix of split scores would be 79 MB here
+    values = np.random.default_rng(3).uniform(0, 100, 3142)
+    assert _traced_peak(cluster_scalar_feature, values, 6) < 64 * values.nbytes
 
 
 def test_scalar_feature_ordered_labels():
