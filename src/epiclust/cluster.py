@@ -19,13 +19,18 @@ frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
 
 Restart r draws its RNG stream from (seed, r) and follows its own trajectory,
 so results do not depend on evaluation order: run in lockstep, each restart
-makes the same draws and reaches the same partition as when run alone. The
-difference-form distances of k-means++ seeding and of the final inertia are
-taken for a whole group of restarts at once, in (restarts, rows, d) blocks of
-bounded size; each is still one sum over its row's d contiguous values, so
-it equals the one-centroid value bit for bit. Only ``inertia_history``
-entries before the last (Gram-form totals) may differ in their last bits, as
-they may between BLAS builds.
+makes the same draws and reaches the same partition as when run alone.
+k-means++ seeding takes each restart's weights in the Gram form, one BLAS
+product per center index, and keeps a draw only where the rounding bound
+certifies that the difference-form weights give the same index; any other
+restart draws from its difference-form row with the same random number. The
+exact (difference-form) inertia is taken only for restarts whose last Gram
+total, within its rounding bound, can still reach the least one, once per
+distinct final state, in (restarts, rows, d) blocks of bounded size; each
+distance is one sum over its row's d contiguous values, so it equals the
+one-centroid value bit for bit. Only ``inertia_history`` entries before the
+last (Gram-form totals) may differ in their last bits, as they may between
+BLAS builds.
 """
 
 from __future__ import annotations
@@ -164,12 +169,60 @@ def _check_k(k, n):
 # same strict argmin. The band used is 4 times that, which also absorbs the
 # rounding of the norms R is computed from; the tiny term covers underflow,
 # where relative bounds fail (absolute error at most one subnormal step per
-# operation). Rows that do not clear the band are re-scored in the difference
-# form: every exact tie, and every row that an overflow turned into inf or
-# nan. So labels, first centroid on ties, equal the difference form's on
-# every finite input.
-_GRAM_SLACK = 8.0 * np.finfo(float).eps
-_TINY = np.finfo(float).tiny
+# operation). Every intermediate of a Gram entry is at most R^2 (1 + O(d u))
+# in magnitude, so where 2 R^2 does not overflow no Gram entry does, and
+# where it does the band is inf. Rows that do not clear the band are
+# re-scored in the difference form: every exact tie, and every row of a
+# restart whose Gram entries may have overflowed. So labels, first centroid
+# on ties, equal the difference form's on every finite input.
+#
+# The same band bounds a Gram entry's distance from the difference-form
+# value w: |g - w| <= (d+2) eps R^2, well inside delta = _gram_band(d, R).
+# Clamping g at 0 and taking the least over several centroids keep it there.
+# A restart's last Lloyd total G sums n row minima, each the Gram distance to
+# the centroid the difference form also picks, so G and the exact inertia
+# differ by at most n delta plus the rounding of both sums: (n - 1) u times
+# the sum of their terms' magnitudes, at most |G| + 3 n delta and |G| + 2 n
+# delta. B = n (delta + eps (|G| + 3 n delta)) bounds that; a restart whose
+# G - B exceeds another's G + B has the larger exact inertia and cannot win.
+#
+# k-means++ seeding centers are rows, so R <= 2 max|x| and one delta serves
+# every entry of a restart's Gram row of weights. With G the computed total,
+# the exact total of its row is at least F = (1 - n eps) G - n delta; when
+# F > 0 it is positive, so choice draws random() and not integers(n). Each
+# prefix sum of the row also moves by at most n delta, so the ideal CDFs
+# S/T of the exact row and S'/T' of the Gram row differ by at most
+# |S - S'|/T' + S |T - T'|/(T T') <= 2 n delta / F (S <= T, and F bounds both
+# totals from below). numpy's choice computes cumsum(w / T) / its last
+# entry: the quotients round by u, the running sum of non-negative terms by
+# at most (m - 1) u relative at entry m, the normalising sum by (n - 1) u and
+# the division by u, so each computed CDF entry lies within (2 n + 1) u <=
+# (n + 1) eps of the ideal one. A draw u that lies at least
+# beta = 2 n delta / F + 2 (n + 4) eps from both Gram CDF entries around its
+# index (3 eps per side spare, for the subtractions that measure it) lies
+# between the same two entries of the exact CDF: the exact draw takes the
+# same index. A non-finite G, delta or beta certifies nothing.
+_GRAM_SLACK = 8.0 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _gram_band(d, radius):
+    """The per-entry Gram-form error band of rows and centroids whose norms
+    are at most ``radius`` (see ``_GRAM_SLACK``); inf where 2 radius^2
+    overflows, as a Gram entry may then have overflowed too."""
+    return (d + 2) * (0.5 * _GRAM_SLACK * (2.0 * radius * radius) + _TINY)
+
+
+def _gram(points, sq_norms, centers, c_norms):
+    """|x|^2 - 2 x.c + |c|^2 of each row x for each of the (m, d) centers,
+    shape (m, n): one BLAS product. Overflow gives inf or nan entries, which
+    every caller sends to the difference form under ``np.errstate``."""
+    d2 = centers @ points.T
+    d2 *= -2.0
+    d2 += sq_norms
+    d2 += c_norms[:, None]
+    return d2
 
 
 def _assign(points, sq_norms, x_norm, centroids):
@@ -177,26 +230,23 @@ def _assign(points, sq_norms, x_norm, centroids):
     shape (a,), for the (a, k, d) centroids of a restarts: Gram form, screened
     per restart, re-scored in the difference form where the screen cannot
     vouch for the argmin (see ``_GRAM_SLACK``). Ties go to the first centroid."""
-    a, k, _ = centroids.shape
-    c_norms = (centroids * centroids).sum(axis=2)
-    d2 = (centroids.reshape(a * k, -1) @ points.T).reshape(a, k, -1)
-    d2 *= -2.0
-    d2 += sq_norms
-    d2 += c_norms[:, :, None]
-    # first centroid on ties: a later one takes a row only when strictly
-    # closer, and its index exceeds every earlier label. A nan entry makes the
-    # row's minimum nan, which marks the row for re-scoring below
-    labels = np.zeros(d2[:, 0].shape, dtype=np.intp)
-    row_min = d2[:, 0].copy()
-    for c in range(1, k):
-        closer = np.multiply(d2[:, c] < row_min, c, dtype=np.intp)
-        np.maximum(labels, closer, out=labels)
-        np.minimum(row_min, d2[:, c], out=row_min)
-    radius = x_norm + np.sqrt(c_norms.max(axis=1))
-    tol = (points.shape[1] + 2) * (_GRAM_SLACK * radius * radius + _TINY)
-    # a row is settled when every entry but its minimum lies beyond the band
-    # (a nan minimum, which compares false, leaves none beyond it)
-    far = d2 > (row_min + tol[:, None])[:, None, :]
+    a, k, d = centroids.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves its rows unsettled
+        c_norms = (centroids * centroids).sum(axis=2)
+        d2 = _gram(points, sq_norms, centroids.reshape(a * k, d), c_norms.reshape(-1)).reshape(a, k, -1)
+        # first centroid on ties: a later one takes a row only when strictly
+        # closer, and its index exceeds every earlier label. A nan entry makes
+        # the row's minimum nan, which marks the row for re-scoring below
+        labels = np.zeros(d2[:, 0].shape, dtype=np.intp)
+        row_min = d2[:, 0].copy()
+        for c in range(1, k):
+            closer = np.multiply(d2[:, c] < row_min, c, dtype=np.intp)
+            np.maximum(labels, closer, out=labels)
+            np.minimum(row_min, d2[:, c], out=row_min)
+        tol = _gram_band(d, x_norm + np.sqrt(c_norms.max(axis=1)))
+        # a row is settled when every entry but its minimum lies beyond the
+        # band (a nan minimum, which compares false, leaves none beyond it)
+        far = d2 > (row_min + tol[:, None])[:, None, :]
     unsettled = (far.sum(axis=1) != k - 1) | np.isnan(row_min)
     for j in np.flatnonzero(unsettled.any(axis=1)):
         redo = np.flatnonzero(unsettled[j])
@@ -231,41 +281,88 @@ def _sq_dists(points, centroids, labels=None):
     return out
 
 
-def _weighted_draws(weights, rngs):
-    """Per row j of ``weights``, the index ``rngs[j].choice(n, p=weights[j] /
-    total)`` draws, with the same stream use: numpy's own inverse CDF, batched
-    over the rows, without ``choice``'s per-call checks. A row of zeros draws
-    ``integers(n)``; a total that is not finite (the squared distances of
-    finite points can overflow) raises ``ValueError``, as ``choice`` does."""
-    totals = weights.sum(axis=1)
+def _cdf_picks(weights, totals, draws, slack):
+    """Per row, the index numpy's inverse CDF gives the uniform draw u (the
+    count of CDF entries at most u, as ``searchsorted(side="right")``), or on
+    a row of zeros the drawn integer itself; and whether u lies at least
+    ``slack`` from both CDF entries around that index, that is, whether
+    u - slack and u + slack have the same count. A total that is not finite
+    (the squared distances of finite points can overflow) raises
+    ``ValueError``, as ``choice`` does."""
     if not np.isfinite(totals).all():
         raise ValueError("k-means++ weights are not finite: the squared distances overflow")
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows of zeros, never searched
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows of zeros count 0 either way
         cdf = np.cumsum(weights / totals[:, None], axis=1)
         cdf /= cdf[:, -1:]
+    low = (cdf <= (draws - slack)[:, None]).sum(axis=1)
+    high = (cdf <= (draws + slack)[:, None]).sum(axis=1)
+    return np.where(totals > 0, high, draws).astype(np.intp), low == high
+
+
+def _weighted_draws(weights, rngs, error=0.0, exact=None):
+    """Per row j of ``weights``, the index ``rngs[j].choice(n, p=w / w.sum())``
+    draws, with the same stream use, where w is the exact row that
+    ``weights[j]`` approximates within ``error`` per entry and ``exact(rows)``
+    returns the exact rows of the given row indices: numpy's own inverse CDF,
+    batched over the rows, without ``choice``'s per-call checks.
+
+    A row whose total proves the exact total positive draws ``random()`` and
+    keeps its index when the draw lies at least the slack beta from both CDF
+    entries around it (see ``_GRAM_SLACK``); otherwise its exact row is
+    searched with the same draw. Any other row (exact total possibly zero,
+    or anything not finite) is replaced by its exact row before the draw. An
+    exact row has slack 0: a row of zeros draws ``integers(n)`` and a total
+    that is not finite raises ``ValueError``, as ``choice`` does."""
     n = weights.shape[1]
-    return [
-        cdf[j].searchsorted(rng.random(), side="right") if totals[j] > 0 else rng.integers(n)
-        for j, rng in enumerate(rngs)
-    ]
+    totals = weights.sum(axis=1)
+    slack = 0.0
+    if error:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            floor = totals * (1.0 - n * _EPS) - n * error
+            slack = 2.0 * n * error / floor + 2.0 * (n + 4) * _EPS
+            certified = (floor > 0) & (floor < np.inf)
+        if not certified.all():
+            unsure = np.flatnonzero(~certified)
+            weights = weights.copy()
+            weights[unsure] = exact(unsure)
+            totals[unsure], slack[unsure] = weights[unsure].sum(axis=1), 0.0
+    draws = np.array([rng.random() if t > 0 else rng.integers(n) for rng, t in zip(rngs, totals.tolist())])
+    picks, sure = _cdf_picks(weights, totals, draws, slack)
+    if not sure.all():
+        redo = np.flatnonzero(~sure)
+        rows = exact(redo)
+        picks[redo] = _cdf_picks(rows, rows.sum(axis=1), draws[redo], 0.0)[0]
+    return picks
 
 
-def _plusplus_seeds(points, k, rngs):
+def _plusplus_seeds(points, k, rngs, sq_norms, x_norm):
     """k-means++ centroids, shape (len(rngs), k, d), one restart per RNG.
 
     The restarts pick their centers in lockstep, one index at a time; each
     draws from its own stream what a restart seeded alone draws with
-    ``integers`` and ``choice`` (see ``_weighted_draws``), and keeps its own
-    difference-form distance row. Nothing reads the distances to the last
-    center, so they are taken to centers 0 .. k - 2 only."""
-    n = points.shape[0]
-    seeds = np.empty((len(rngs), k, points.shape[1]))
-    seeds[:, 0] = points[[rng.integers(n) for rng in rngs]]
+    ``integers`` and ``choice``. A restart's weights are its least Gram-form
+    distances to its centers so far, one BLAS product per center index,
+    clamped at 0; ``_weighted_draws`` keeps a draw only where the rounding
+    bound certifies it and otherwise draws from the difference-form row, so
+    every index equals the one the difference form draws. Nothing reads the
+    distances to the last center, so they are taken to centers 0 .. k - 2."""
+    n, d = points.shape
+    picks = np.empty((len(rngs), k), dtype=np.intp)
+    picks[:, 0] = [rng.integers(n) for rng in rngs]
+    error = _gram_band(d, 2.0 * x_norm)
+
+    def exact(rows):  # the difference-form rows of the given restarts, to centers 0 .. i - 1
+        dists = _sq_dists(points, points[picks[rows, :i]].reshape(-1, d))
+        return dists.reshape(rows.size, i, n).min(axis=1)
+
     for i in range(1, k):
-        dists = _sq_dists(points, seeds[:, i - 1])
+        last = picks[:, i - 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow certifies no draw
+            dists = _gram(points, sq_norms, points[last], sq_norms[last])
+            np.maximum(dists, 0.0, out=dists)
         d2 = dists if i == 1 else np.minimum(d2, dists, out=d2)
-        seeds[:, i] = points[_weighted_draws(d2, rngs)]
-    return seeds
+        picks[:, i] = _weighted_draws(d2, rngs, error, exact)
+    return points[picks]
 
 
 def _lloyd_group(points, k, cfg: KMeansConfig, restarts, sq_norms, x_norm):
@@ -276,12 +373,18 @@ def _lloyd_group(points, k, cfg: KMeansConfig, restarts, sq_norms, x_norm):
     repeat after a step with no re-seed, when its centroids move less than
     ``cfg.epsilon`` (one more assignment then gives its final labels) or at
     ``cfg.max_iters``. Yields (labels, centroids, inertia, history) per
-    restart, in order, each equal bit for bit to a run of that restart alone.
+    restart that can still win, in order, each equal bit for bit to a run of
+    that restart alone: the exact inertia is taken only for restarts whose
+    last Gram total, within its rounding bound B (see ``_GRAM_SLACK``), can
+    reach the least total plus its bound, once per distinct final state. The
+    others have a larger inertia than some restart yielded.
     """
-    g, n = len(restarts), points.shape[0]
-    centroids = _plusplus_seeds(points, k, [np.random.default_rng([cfg.seed, r]) for r in restarts])
+    (n, d), g = points.shape, len(restarts)
+    rngs = [np.random.default_rng([cfg.seed, r]) for r in restarts]
+    centroids = _plusplus_seeds(points, k, rngs, sq_norms, x_norm)
     histories = [[] for _ in range(g)]
     final = np.empty((g, n), dtype=np.intp)
+    gram = np.empty(g)  # the Gram total of the final labels
     repeat = np.full((g, n), -1)  # last labels whose means fill every centroid
     stale = np.zeros(g, dtype=bool)  # centroids moved < epsilon: the next labels are final
     live = np.arange(g)
@@ -293,7 +396,8 @@ def _lloyd_group(points, k, cfg: KMeansConfig, restarts, sq_norms, x_norm):
         # the means of repeated labels are the current centroids, bit for
         # bit: the next shift is 0 and these labels are final
         done = ~moving | (labels == repeat[live]).all(axis=1)
-        final[live[done]] = labels[done]
+        leaving = live[done]
+        final[leaving], gram[leaving] = labels[done], totals[done]
         live, labels = live[~done], labels[~done]
         if not live.size:
             break
@@ -320,11 +424,30 @@ def _lloyd_group(points, k, cfg: KMeansConfig, restarts, sq_norms, x_norm):
         shift = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
         centroids[live] = new
         stale[live] = shift < cfg.epsilon
+    # B of each restart (see _GRAM_SLACK), in Python floats: a bound that
+    # overflows is inf and prunes nothing, silently. After the first step
+    # every centroid is a row or a mean of rows, so its norm is at most max|x|
+    # up to rounding that the band's margin absorbs
+    band = n * _gram_band(d, 2.0 * x_norm) * (1.0 + 3.0 * n * _EPS)
+    totals = gram.tolist()
+    bounds = [abs(total) * n * _EPS + band for total in totals]
+    cutoff = min((t + b for t, b in zip(totals, bounds) if t + b < np.inf), default=np.inf)
+    # a restart whose inertia is at least a finite low end above the cutoff
+    # cannot win; a low end that is nan or inf proves nothing
+    keys = {
+        j: final[j].tobytes() + centroids[j].tobytes()
+        for j, (t, b) in enumerate(zip(totals, bounds))
+        if not cutoff < t - b < np.inf
+    }
+    firsts = {}  # the first restart of each distinct final state
+    for j, key in keys.items():
+        firsts.setdefault(key, j)
     # exact, in the difference form's per-row values and summation order: each
-    # row of the (g, n) distances is contiguous, so its sum is a lone row's
-    inertias = _sq_dists(points, centroids, final).sum(axis=1).tolist()
-    for j, (history, inertia) in enumerate(zip(histories, inertias)):
-        yield final[j].copy(), centroids[j].copy(), inertia, (*history, inertia)
+    # row of the distances is contiguous, so its sum is a lone row's
+    rows = list(firsts.values())
+    inertias = dict(zip(firsts, _sq_dists(points, centroids[rows], final[rows]).sum(axis=1).tolist()))
+    for j, key in keys.items():
+        yield final[j].copy(), centroids[j].copy(), inertias[key], (*histories[j], inertias[key])
 
 
 def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignment:
@@ -338,17 +461,20 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignm
     restart's centroids with one matrix product (the Gram form
     |x|^2 - 2 x.c + |c|^2) and re-scores in the difference form
     sum((x - c)^2) every row whose two nearest centroids lie within the
-    rounding bound of each other. Labels, centroids and the final inertia
-    therefore equal those of the difference form bit for bit, exact ties
-    going to the first centroid. Entries of ``inertia_history`` before the
-    last may carry Gram-form rounding; the last is the exact ``inertia``.
+    rounding bound of each other; k-means++ seeding and the choice of the
+    winner use the Gram form in the same way (see ``_GRAM_SLACK``). Labels,
+    centroids and the final inertia therefore equal those of the difference
+    form bit for bit, exact ties going to the first centroid. Entries of
+    ``inertia_history`` before the last may carry Gram-form rounding; the
+    last is the exact ``inertia``.
     Non-finite points raise ``ValueError``.
     """
     points = _as_points(points)
     n = points.shape[0]
     _check_k(k, n)
-    sq_norms = _sq_dists(points, np.zeros((1, points.shape[1])))[0]
-    x_norm = np.sqrt(sq_norms.max())
+    with np.errstate(over="ignore"):  # an overflow sends the Gram form's rows to the difference form
+        sq_norms = _sq_dists(points, np.zeros((1, points.shape[1])))[0]
+    x_norm = float(np.sqrt(sq_norms.max()))  # a Python float: bands that overflow are inf, silently
     size = max(1, KMEANS_GROUP_BYTES // (16 * n * (k + 4) + 48 * k * points.shape[1] + 2048))
     best = None
     for start in range(0, cfg.restarts, size):

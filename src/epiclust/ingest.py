@@ -63,13 +63,16 @@ class EpicurveMatrix:
             raise IngestError(f"{len(self.dates)} dates for {n_days} value columns")
         if n_regions == 0 or n_days == 0:
             raise IngestError("matrix must have at least one region and one day")
-        seen = set()
-        for name in self.region_names:
-            if not name:
-                raise IngestError("empty region name")
-            if name in seen:
-                raise IngestError(f"duplicate region: {name!r}")
-            seen.add(name)
+        names = self.region_names
+        if "" in names or len(set(names)) != len(names):
+            # name the first offender in row order
+            seen = set()
+            for name in names:
+                if not name:
+                    raise IngestError("empty region name")
+                if name in seen:
+                    raise IngestError(f"duplicate region: {name!r}")
+                seen.add(name)
         for prev, cur in zip(self.dates, self.dates[1:]):
             if (cur - prev).days != 1:
                 raise IngestError(f"non-consecutive dates: {prev} followed by {cur}")

@@ -16,8 +16,13 @@ from epiclust.cluster import (
     KMeansConfig,
     SpectralConfig,
     _assign,
+    _cdf_picks,
     _check_k,
+    _gram,
+    _gram_band,
     _leftmost_splits,
+    _lloyd_group,
+    _plusplus_seeds,
     _sq_dists,
     _weighted_draws,
     check_symmetric,
@@ -301,7 +306,9 @@ def test_kmeans_labels_repeating_after_a_reseed_keep_iterating(monkeypatch):
     points = np.array([[0.0], [1.0], [10.0]])
     start = np.array([[0.5], [6.0], [-5.0]])
 
-    monkeypatch.setattr("epiclust.cluster._plusplus_seeds", lambda points, k, rngs: np.array([start] * len(rngs)))
+    monkeypatch.setattr(
+        "epiclust.cluster._plusplus_seeds", lambda points, k, rngs, *norms: np.array([start] * len(rngs))
+    )
     monkeypatch.setattr(sys.modules[__name__], "_plusplus_init", lambda points, k, rng: start.copy())
     cfg = KMeansConfig(restarts=1)
     want = reference_kmeans(points, 3, cfg)
@@ -335,6 +342,20 @@ def test_screen_band_is_sized_per_restart():
     labels, totals = _assign(points, sq_norms, np.sqrt(sq_norms.max()), centroids)
     assert labels.tolist() == [[0], [0]]
     assert totals.tolist() == [1.0, 99999997.75**2]
+
+
+def test_gram_entry_that_overflows_is_re_scored():
+    # |x|^2 and |c|^2 are finite, but -2 x.c overflows for the first
+    # centroid, so its Gram entry reads -inf, while the second centroid is
+    # the nearer one in the difference form
+    points = np.array([[1.2e154, 0.0]])
+    centroids = np.array([[[0.8e154, 0.9e154], [0.3e154, 0.0]]])
+    exact = ((points - centroids[0]) ** 2).sum(axis=1)
+    assert np.isfinite(exact).all() and exact.argmin() == 1
+    sq_norms = (points * points).sum(axis=1)
+    labels, totals = _assign(points, sq_norms, np.sqrt(sq_norms.max()), centroids)
+    assert labels.tolist() == [[1]]
+    assert totals.tolist() == [exact[1]]
 
 
 def test_kmeans_groups_and_blocks_match_the_reference(monkeypatch):
@@ -400,23 +421,46 @@ def test_kmeans_groups_of_wide_short_rows_stay_within_the_group_budget():
     assert peak < KMEANS_GROUP_BYTES + 3 * KMEANS_BLOCK_BYTES
 
 
-def test_kmeans_measures_no_distance_to_the_last_seeding_center(monkeypatch):
-    # one _sq_dists pass for the row norms, one per k-means++ center but the
-    # last, one for the inertia: four far blobs leave no cluster empty, so no
-    # re-seed adds a pass
+def test_kmeans_seeds_by_gram_products_and_takes_one_inertia_pass_per_candidate_state(monkeypatch):
+    # k-means++ seeding takes one Gram product per center but the last and no
+    # _sq_dists pass; besides the row norms, the inertia is one _sq_dists pass
+    # over one restart per distinct final state among the restarts that can
+    # win: four far blobs leave no cluster empty, so no re-seed adds a pass,
+    # and there the restarts that can win are those of the least inertia
     rng = np.random.default_rng(5)
     pts = np.repeat(100.0 * np.arange(4), 5)[:, None] + rng.standard_normal((20, 3))
-    calls = []
+    calls, seeding = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return _sq_dists(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, bool(seeding), args))
+            return fn(*args)
 
-    monkeypatch.setattr("epiclust.cluster._sq_dists", counted)
+        return wrapper
+
+    def seeds(*args):
+        seeding.append(True)
+        try:
+            return _plusplus_seeds(*args)
+        finally:
+            seeding.clear()
+
+    monkeypatch.setattr("epiclust.cluster._sq_dists", counted("sq_dists", _sq_dists))
+    monkeypatch.setattr("epiclust.cluster._gram", counted("gram", _gram))
+    monkeypatch.setattr("epiclust.cluster._plusplus_seeds", seeds)
+    cfg = KMeansConfig()
     for k in range(1, 5):
         calls.clear()
-        kmeans(pts, k)
-        assert len(calls) == k + 1
+        kmeans(pts, k, cfg)
+        in_seeding = [name for name, inside, _ in calls if inside]
+        assert in_seeding == ["gram"] * (k - 1)
+        passes = [args for name, _, args in calls if name == "sq_dists"]
+        assert len(passes) == 2
+        runs = [_reference_lloyd(pts, k, cfg, np.random.default_rng([cfg.seed, r])) for r in range(cfg.restarts)]
+        least = min(run[2] for run in runs)
+        states = {(run[0].tobytes(), run[1].tobytes()) for run in runs if run[2] == least}
+        assert passes[1][1].shape[0] == len(states)
+        assert len(states) < cfg.restarts
 
 
 def test_kmeans_many_restarts_stay_within_the_group_budget():
@@ -459,6 +503,174 @@ def test_weighted_draws_match_generator_choice():
             assert got[j] == alone.choice(n, p=weights[j] / totals[j])
             assert inline.random() == alone.random()
         rows += batch
+
+
+def _seeding_rows(pts, centers):
+    """The Gram-form weights k-means++ seeding draws from, the difference-form
+    rows they approximate and the per-entry band, for (a, i) center indices."""
+    n, d = pts.shape
+    sq_norms = (pts * pts).sum(axis=1)
+    gram = np.full((len(centers), n), np.inf)
+    for c in centers.T:
+        gram = np.minimum(gram, np.maximum(_gram(pts, sq_norms, pts[c], sq_norms[c]), 0.0))
+    exact = np.array([((pts[:, None, :] - pts[row]) ** 2).sum(axis=2).min(axis=1) for row in centers])
+    return gram, exact, _gram_band(d, 2.0 * np.sqrt(sq_norms.max()))
+
+
+SEEDING_FAMILIES = {
+    "random_rows": lambda rng, n, d: rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4),
+    "offset_1e7": lambda rng, n, d: 1e7 + rng.poisson(3.0, (n, d)),
+    "duplicated_rows": _duplicated_rows,
+}
+
+
+@pytest.mark.parametrize("family", sorted(SEEDING_FAMILIES))
+def test_certified_draws_equal_difference_form_draws(family):
+    # every draw, certified or sent to the exact row, is the index and the
+    # stream use of _weighted_draws on the difference-form rows
+    rng = np.random.default_rng(sorted(SEEDING_FAMILIES).index(family))
+    certified = fallbacks = 0
+    for _ in range(300):
+        n, d, a = int(rng.integers(2, 60)), int(rng.integers(1, 12)), int(rng.integers(1, 6))
+        pts = SEEDING_FAMILIES[family](rng, n, d)
+        centers = rng.integers(n, size=(a, int(rng.integers(1, min(n, 4) + 1))))
+        gram, exact, band = _seeding_rows(pts, centers)
+        seeds = rng.integers(2**32, size=a)
+        asked = []
+
+        def exact_rows(rows):
+            asked.extend(rows.tolist())
+            return exact[rows]
+
+        rngs = [np.random.default_rng(s) for s in seeds]
+        alone = [np.random.default_rng(s) for s in seeds]
+        got = _weighted_draws(gram, rngs, band, exact_rows)
+        assert got.tolist() == _weighted_draws(exact, alone).tolist()
+        assert [r.random() for r in rngs] == [r.random() for r in alone]
+        fallbacks += len(asked)
+        certified += a - len(asked)
+    assert certified > 0
+    if family == "offset_1e7":
+        assert fallbacks > 0
+
+
+class _StubRng:
+    """Returns the given uniform draw; k-means++ seeding must not ask for an integer."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+    def integers(self, n):
+        raise AssertionError("a positive total draws random()")
+
+
+def test_draw_within_the_slack_of_a_cdf_entry_takes_the_exact_index():
+    # u between a Gram CDF entry and the exact one, or on the exact one, would
+    # take the wrong index from the Gram row; the slack sends it to the exact row
+    rng = np.random.default_rng(11)
+    differing = 0
+    for _ in range(40):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+        pts = 1e7 + rng.standard_normal((n, d))
+        gram, exact, band = _seeding_rows(pts, rng.integers(n, size=(1, 2)))
+        if not exact.sum() > 0:
+            continue
+        cdf_gram, cdf_exact = (np.cumsum(row / row.sum()) for row in (gram[0], exact[0]))
+        cdf_gram, cdf_exact = cdf_gram / cdf_gram[-1], cdf_exact / cdf_exact[-1]
+        for m in np.flatnonzero(cdf_gram[:-1] != cdf_exact[:-1]):
+            for u in ((cdf_gram[m] + cdf_exact[m]) / 2, cdf_exact[m], np.nextafter(cdf_exact[m], 0.0)):
+                want = int(cdf_exact.searchsorted(u, side="right"))
+                differing += want != int(cdf_gram.searchsorted(u, side="right"))
+                assert _weighted_draws(exact, [_StubRng(u)]).tolist() == [want]
+                got = _weighted_draws(gram, [_StubRng(u)], band, lambda rows: exact[rows])
+                assert got.tolist() == [want]
+    assert differing > 0
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+def test_kmeans_matches_the_reference_with_every_draw_uncertified(monkeypatch, family):
+    # beta = inf: no draw from a Gram row is kept, each goes to its exact row
+    rng = np.random.default_rng(100 + sorted(ORACLE_FAMILIES).index(family))
+    cases = []
+    for _ in range(10):
+        n, d = int(rng.integers(2, 80)), int(rng.integers(1, 10))
+        cfg = KMeansConfig(restarts=3, seed=int(rng.integers(1000)))
+        pts, k = ORACLE_FAMILIES[family](rng, n, d), int(rng.integers(2, min(n, 7) + 1))
+        cases.append((pts, k, cfg, reference_kmeans(pts, k, cfg)))
+    gram_draws = []
+
+    def uncertified(weights, totals, draws, slack):
+        picks, sure = _cdf_picks(weights, totals, draws, slack)
+        gram_draws.append(int(np.sum(np.asarray(slack) > 0)))
+        return picks, sure & (np.asarray(slack) == 0)
+
+    monkeypatch.setattr("epiclust.cluster._cdf_picks", uncertified)
+    for pts, k, cfg, want in cases:
+        assert_same_as_reference(kmeans(pts, k, cfg), want)
+    assert sum(gram_draws) > 0
+    # no band at all: every draw, every assignment row and every restart's
+    # inertia goes to the difference form
+    monkeypatch.setattr("epiclust.cluster._GRAM_SLACK", np.inf)
+    for pts, k, cfg, want in cases:
+        assert_same_as_reference(kmeans(pts, k, cfg), want)
+
+
+def test_restarts_tying_on_inertia_keep_the_first():
+    # grid points: restarts reach one partition under different numberings,
+    # or different partitions of the same inertia; the first one wins
+    rng = np.random.default_rng(23)
+    tied = 0
+    for _ in range(40):
+        n, d = int(rng.integers(6, 40)), int(rng.integers(1, 3))
+        pts = rng.integers(0, 3, (n, d)).astype(float)
+        k = int(rng.integers(2, 5))
+        cfg = KMeansConfig(restarts=10, seed=int(rng.integers(1000)))
+        runs = [_reference_lloyd(pts, k, cfg, np.random.default_rng([cfg.seed, r])) for r in range(10)]
+        least = min(run[2] for run in runs)
+        first = next(run for run in runs if run[2] == least)
+        states = {(run[0].tobytes(), run[1].tobytes()) for run in runs if run[2] == least}
+        tied += len(states) > 1
+        got = kmeans(pts, k, cfg)
+        assert np.array_equal(got.labels, first[0])
+        assert got.centroids.tobytes() == first[1].tobytes()
+        assert got.inertia == least
+    assert tied > 0
+
+
+def test_restarts_sharing_final_labels_keep_their_own_inertia(monkeypatch):
+    # one Lloyd step from centers 0 and 1, or from 0 and 10, ends in the same
+    # final labels but at different centroids: with an infinite band no
+    # restart is pruned, and each keeps the inertia of its own centroids
+    points = np.array([[0.0], [1.0], [10.0], [11.0]])
+    starts = np.array([[[0.0], [1.0]], [[0.0], [10.0]]])
+    monkeypatch.setattr("epiclust.cluster._plusplus_seeds", lambda points, k, rngs, *norms: starts.copy())
+    cfg = KMeansConfig(max_iters=1, restarts=2)
+    assert kmeans(points, 2, cfg).centroids.tolist() == [[0.5], [10.5]]
+    monkeypatch.setattr("epiclust.cluster._GRAM_SLACK", np.inf)
+    sq_norms = (points * points).sum(axis=1)
+    results = list(_lloyd_group(points, 2, cfg, range(2), sq_norms, np.sqrt(sq_norms.max())))
+    assert [labels.tolist() for labels, *_ in results] == [[0, 0, 1, 1]] * 2
+    for labels, centroids, inertia, _ in results:
+        assert inertia == ((points - centroids[labels]) ** 2).sum(axis=1).sum()
+    assert results[0][2] > results[1][2] == 1.0
+
+
+def test_kmeans_gram_overflow_near_1e160_matches_the_reference():
+    # near 1e160 |x|^2 overflows, so every Gram entry is inf or nan; near
+    # 1e154 the norms stay finite but the rounding band overflows. Seeding,
+    # assignment and inertia all fall back to the difference form, which
+    # stays finite, and no overflow warning escapes
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+        offset = 10.0 ** rng.choice([154, 160])
+        pts = offset + rng.standard_normal((n, d)) * offset * 10.0 ** rng.choice([-15, -10])
+        cfg = KMeansConfig(restarts=3, seed=int(rng.integers(1000)))
+        k = int(rng.integers(1, min(n, 4) + 1))
+        assert_same_as_reference(kmeans(pts, k, cfg), reference_kmeans(pts, k, cfg))
 
 
 def test_kmeans_overflowing_distances_raise():
