@@ -24,26 +24,22 @@ k-means++ seeding takes each restart's weights in the Gram form, one BLAS
 product per center index, and keeps a draw only where the rounding bound
 certifies that the difference-form weights give the same index; any other
 restart draws from its difference-form row with the same random number. The
-exact (difference-form) inertia is taken only for restarts whose last Gram
-total, within its rounding bound, can still reach the least one, once per
-distinct final state, in (restarts, rows, d) blocks of bounded size; each
-distance is one sum over its row's d contiguous values, so it equals the
-one-centroid value bit for bit. Only ``inertia_history`` entries before the
-last (Gram-form totals) may differ in their last bits, as they may between
-BLAS builds.
+exact (difference-form) inertia is taken once per distinct final state. Every
+difference-form distance, in k-means and in ``rbf_affinity``, comes from
+``_sq_dists``: (restarts, rows, d) blocks of bounded size, each distance one
+sum over its row's d contiguous values, so it equals the one-centroid value
+bit for bit. Only ``inertia_history`` entries before the last (Gram-form
+totals) may differ in their last bits, as they may between BLAS builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 ALGORITHMS = ("kmeans", "spectral")
 LAPLACIAN_KINDS = ("unnormalized", "symmetric_normalized")
-# Size of the (rows, n, d) difference block rbf_affinity squares at once; a
-# block of at least one row is always taken.
-AFFINITY_BLOCK_BYTES = 32 * 2**20
 # Restarts of one kmeans call run in lockstep groups that fit in this many
 # bytes; a group of at least one restart is always taken. At the peak of a
 # step a restart holds about n (11 k + 56) bytes (its (k, n) scores and masks
@@ -51,12 +47,12 @@ AFFINITY_BLOCK_BYTES = 32 * 2**20
 # and the shift temporaries) and an RNG of about 2 KiB:
 # 16 n (k + 4) + 48 k d + 2 KiB bounds that for every k and d.
 KMEANS_GROUP_BYTES = 4 * 2**20
-# Size of the (restarts, rows, d) difference blocks k-means squares at once:
-# as many rows for every restart of a group as fit, or when one row for each
-# does not fit, one row for as many restarts as fit; a block of at least one
-# row of one restart is always taken. A block this small stays in cache, and
-# no temporary of the row distances grows with n or with the restart count.
-KMEANS_BLOCK_BYTES = 256 * 2**10
+# Size of the (restarts, rows, d) difference blocks _sq_dists squares at once:
+# as many rows for every restart (or affinity row) as fit, or when one row for
+# each does not fit, one row for as many as fit; a block of at least one row
+# of one restart is always taken. A block this small stays in cache, and no
+# temporary of the distances grows with n or with the restart count.
+BLOCK_BYTES = 256 * 2**10
 # About how many candidate splits the first pass of a level of the exact
 # 1-D k-means scores. Each later pass takes rows a quarter as far apart; for
 # a level of R rows it scores fewer than 4 R + 4 candidates, whatever this is.
@@ -179,13 +175,6 @@ def _check_k(k, n):
 # The same band bounds a Gram entry's distance from the difference-form
 # value w: |g - w| <= (d+2) eps R^2, well inside delta = _gram_band(d, R).
 # Clamping g at 0 and taking the least over several centroids keep it there.
-# A restart's last Lloyd total G sums n row minima, each the Gram distance to
-# the centroid the difference form also picks, so G and the exact inertia
-# differ by at most n delta plus the rounding of both sums: (n - 1) u times
-# the sum of their terms' magnitudes, at most |G| + 3 n delta and |G| + 2 n
-# delta. B = n (delta + eps (|G| + 3 n delta)) bounds that; a restart whose
-# G - B exceeds another's G + B has the larger exact inertia and cannot win.
-#
 # k-means++ seeding centers are rows, so R <= 2 max|x| and one delta serves
 # every entry of a restart's Gram row of weights. With G the computed total,
 # the exact total of its row is at least F = (1 - n eps) G - n delta; when
@@ -250,9 +239,9 @@ def _assign(points, sq_norms, x_norm, centroids):
     unsettled = (far.sum(axis=1) != k - 1) | np.isnan(row_min)
     for j in np.flatnonzero(unsettled.any(axis=1)):
         redo = np.flatnonzero(unsettled[j])
-        exact = ((points[redo, None, :] - centroids[j]) ** 2).sum(axis=2)
-        labels[j, redo] = exact.argmin(axis=1)
-        row_min[j, redo] = exact[np.arange(redo.size), labels[j, redo]]
+        exact = _sq_dists(points[redo], centroids[j])
+        labels[j, redo] = exact.argmin(axis=0)
+        row_min[j, redo] = exact[labels[j, redo], np.arange(redo.size)]
     return labels, row_min.sum(axis=1)
 
 
@@ -261,12 +250,12 @@ def _sq_dists(points, centroids, labels=None):
     the difference form: c is ``centroids[j]``, centroids of shape (a, d), or
     with (a, n) ``labels`` the row's own centroid ``centroids[j][label]``,
     centroids of shape (a, k, d). The differences are squared in (restarts,
-    rows, d) blocks within ``KMEANS_BLOCK_BYTES``; each value is one sum over
-    its row's d contiguous terms, whatever the block."""
+    rows, d) blocks within ``BLOCK_BYTES``; each value is one sum over its
+    row's d contiguous terms, whatever the block."""
     (a, *_, d), n = centroids.shape, points.shape[0]
     out = np.empty((a, n))
-    restarts = max(1, min(a, KMEANS_BLOCK_BYTES // (8 * d)))
-    rows = max(1, KMEANS_BLOCK_BYTES // (8 * d * restarts))
+    restarts = max(1, min(a, BLOCK_BYTES // (8 * d)))
+    rows = max(1, BLOCK_BYTES // (8 * d * restarts))
     for j in range(0, a, restarts):
         group = slice(j, j + restarts)
         for i in range(0, n, rows):
@@ -373,18 +362,14 @@ def _lloyd_group(points, k, cfg: KMeansConfig, restarts, sq_norms, x_norm):
     repeat after a step with no re-seed, when its centroids move less than
     ``cfg.epsilon`` (one more assignment then gives its final labels) or at
     ``cfg.max_iters``. Yields (labels, centroids, inertia, history) per
-    restart that can still win, in order, each equal bit for bit to a run of
-    that restart alone: the exact inertia is taken only for restarts whose
-    last Gram total, within its rounding bound B (see ``_GRAM_SLACK``), can
-    reach the least total plus its bound, once per distinct final state. The
-    others have a larger inertia than some restart yielded.
+    restart, in order, each equal bit for bit to a run of that restart alone:
+    the exact inertia is taken once per distinct final state.
     """
-    (n, d), g = points.shape, len(restarts)
+    n, g = points.shape[0], len(restarts)
     rngs = [np.random.default_rng([cfg.seed, r]) for r in restarts]
     centroids = _plusplus_seeds(points, k, rngs, sq_norms, x_norm)
     histories = [[] for _ in range(g)]
     final = np.empty((g, n), dtype=np.intp)
-    gram = np.empty(g)  # the Gram total of the final labels
     repeat = np.full((g, n), -1)  # last labels whose means fill every centroid
     stale = np.zeros(g, dtype=bool)  # centroids moved < epsilon: the next labels are final
     live = np.arange(g)
@@ -397,7 +382,7 @@ def _lloyd_group(points, k, cfg: KMeansConfig, restarts, sq_norms, x_norm):
         # bit: the next shift is 0 and these labels are final
         done = ~moving | (labels == repeat[live]).all(axis=1)
         leaving = live[done]
-        final[leaving], gram[leaving] = labels[done], totals[done]
+        final[leaving] = labels[done]
         live, labels = live[~done], labels[~done]
         if not live.size:
             break
@@ -424,29 +409,15 @@ def _lloyd_group(points, k, cfg: KMeansConfig, restarts, sq_norms, x_norm):
         shift = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
         centroids[live] = new
         stale[live] = shift < cfg.epsilon
-    # B of each restart (see _GRAM_SLACK), in Python floats: a bound that
-    # overflows is inf and prunes nothing, silently. After the first step
-    # every centroid is a row or a mean of rows, so its norm is at most max|x|
-    # up to rounding that the band's margin absorbs
-    band = n * _gram_band(d, 2.0 * x_norm) * (1.0 + 3.0 * n * _EPS)
-    totals = gram.tolist()
-    bounds = [abs(total) * n * _EPS + band for total in totals]
-    cutoff = min((t + b for t, b in zip(totals, bounds) if t + b < np.inf), default=np.inf)
-    # a restart whose inertia is at least a finite low end above the cutoff
-    # cannot win; a low end that is nan or inf proves nothing
-    keys = {
-        j: final[j].tobytes() + centroids[j].tobytes()
-        for j, (t, b) in enumerate(zip(totals, bounds))
-        if not cutoff < t - b < np.inf
-    }
+    keys = [final[j].tobytes() + centroids[j].tobytes() for j in range(g)]
     firsts = {}  # the first restart of each distinct final state
-    for j, key in keys.items():
+    for j, key in enumerate(keys):
         firsts.setdefault(key, j)
     # exact, in the difference form's per-row values and summation order: each
     # row of the distances is contiguous, so its sum is a lone row's
     rows = list(firsts.values())
     inertias = dict(zip(firsts, _sq_dists(points, centroids[rows], final[rows]).sum(axis=1).tolist()))
-    for j, key in keys.items():
+    for j, key in enumerate(keys):
         yield final[j].copy(), centroids[j].copy(), inertias[key], (*histories[j], inertias[key])
 
 
@@ -461,12 +432,11 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignm
     restart's centroids with one matrix product (the Gram form
     |x|^2 - 2 x.c + |c|^2) and re-scores in the difference form
     sum((x - c)^2) every row whose two nearest centroids lie within the
-    rounding bound of each other; k-means++ seeding and the choice of the
-    winner use the Gram form in the same way (see ``_GRAM_SLACK``). Labels,
-    centroids and the final inertia therefore equal those of the difference
-    form bit for bit, exact ties going to the first centroid. Entries of
-    ``inertia_history`` before the last may carry Gram-form rounding; the
-    last is the exact ``inertia``.
+    rounding bound of each other; k-means++ seeding uses the Gram form in the
+    same way (see ``_GRAM_SLACK``). Labels, centroids and the final inertia
+    therefore equal those of the difference form bit for bit, exact ties
+    going to the first centroid. Entries of ``inertia_history`` before the
+    last may carry Gram-form rounding; the last is the exact ``inertia``.
     Non-finite points raise ``ValueError``.
     """
     points = _as_points(points)
@@ -489,32 +459,29 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignm
 def rbf_affinity(points, sigma: float | str = "median") -> np.ndarray:
     """Gaussian similarity matrix w_ij = exp(-|x_i - x_j|^2 / (2 sigma^2)).
 
-    Squared distances are summed from coordinate differences, a block of rows
-    at a time, so the temporary stays within ``AFFINITY_BLOCK_BYTES`` instead
-    of growing as n^2 * d, and coincident points get a distance of exactly 0.
-    The diagonal is forced to zero (no self-loops). ``sigma="median"`` uses
-    the median of the non-zero pairwise distances, falling back to 1.0 when
-    all points coincide. Non-finite points raise ``ValueError``.
+    Squared distances are summed from coordinate differences by ``_sq_dists``,
+    so no temporary grows as n^2 * d, and coincident points get a distance of
+    exactly 0. The diagonal is forced to zero (no self-loops).
+    ``sigma="median"`` uses the median of the non-zero pairwise distances,
+    falling back to 1.0 when all points coincide. Non-finite points raise
+    ``ValueError``.
     """
     _check_sigma(sigma)
     points = _as_points(points)
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"affinity needs at least 2 points, got {n}")
-    rows = max(1, AFFINITY_BLOCK_BYTES // (8 * n * max(1, points.shape[1])))
-    d2 = np.empty((n, n))
     # (x_i - x_j)^2 == (x_j - x_i)^2 in floating point, so d2 comes out
     # exactly symmetric and non-negative without a symmetrising pass
-    for i in range(0, n, rows):
-        j = min(i + rows, n)
-        d2[i:j] = ((points[i:j, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_dists(points, points)
     if sigma == "median":
         dists = np.sqrt(d2[np.triu_indices(n, k=1)])
         nonzero = dists[dists > 0]
         sigma = float(np.median(nonzero)) if nonzero.size else 1.0
-    w = np.exp(-d2 / (2.0 * float(sigma) ** 2))
-    np.fill_diagonal(w, 0.0)
-    return w
+    np.divide(d2, -(2.0 * float(sigma) ** 2), out=d2)
+    np.exp(d2, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
 
 
 def check_symmetric(a, tol: float = 1e-12) -> np.ndarray:
@@ -590,15 +557,7 @@ def spectral_from_affinity(
     eigenvalues, eigenvectors = np.linalg.eigh(lap)
     embedding = eigenvectors[:, :k]
     suggested = eigengap_suggest_k(eigenvalues, k_max=min(n - 1, 8))
-    km = kmeans(embedding, k, kmeans_cfg)
-    return ClusterAssignment(
-        km.labels,
-        k,
-        km.centroids,
-        km.inertia,
-        suggested_k=suggested,
-        inertia_history=km.inertia_history,
-    )
+    return replace(kmeans(embedding, k, kmeans_cfg), suggested_k=suggested)
 
 
 def spectral_cluster(
