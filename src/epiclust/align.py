@@ -67,6 +67,15 @@ class BaselineResult:
     deviation: float
 
 
+def _check_align_k(k):
+    """Raise unless the alignment search can serve k clusters."""
+    if k > MAX_ALIGN_K:
+        raise ValueError(
+            f"k={k} is unsupported: the alignment search holds 2**k partial "
+            f"costs and is limited to k <= {MAX_ALIGN_K}"
+        )
+
+
 def _check_labels(a, b, k, metric):
     a = np.asarray(a, dtype=np.int64).reshape(-1)
     b = np.asarray(b, dtype=np.int64).reshape(-1)
@@ -79,11 +88,7 @@ def _check_labels(a, b, k, metric):
     for name, arr in (("b", b), ("a", a)):  # b first: random_baseline passes its b as both
         if arr.min() < 0 or arr.max() >= k:
             raise ValueError(f"labels of {name} must lie in [0, {k})")
-    if k > MAX_ALIGN_K:
-        raise ValueError(
-            f"k={k} is unsupported: the alignment search holds 2**k partial "
-            f"costs and is limited to k <= {MAX_ALIGN_K}"
-        )
+    _check_align_k(k)
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     return a, b

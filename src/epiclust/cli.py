@@ -26,7 +26,6 @@ value passes its flag's type and choices, and explicit flags win. Exit status:
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -47,16 +46,12 @@ from .pipeline import (
 from .preprocess import PREPROCESS_KINDS, apply_preprocess
 from .synth import generate_fixture, write_fixture
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 ASSOCIATION_HEADER = ["feature", "window", "sm1", "sm2_mean", "sm2_std", "deviation"]
 
 
 # ---------------------------------------------------------------------------
 # report serialization
-
-
-def write_matrix_csv(matrix, row_labels, col_labels, path, corner="") -> None:
-    _write_table(path, [corner, *col_labels], row_labels, np.asarray(matrix, dtype=float))
 
 
 def _heat_color(value, lo, hi):
@@ -176,10 +171,6 @@ def cmd_cluster(args) -> int:
             "algorithm": algo,
             "k": args.k,
             "seed": args.seed,
-            "labels": {
-                name: int(label)
-                for name, label in zip(m.region_names, assignment.labels)
-            },
             "inertia": assignment.inertia,
             "suggested_k": assignment.suggested_k,
             "balanced": diag.balanced,
@@ -207,9 +198,7 @@ def cmd_stability(args) -> int:
     techniques = []
     for r in results:
         csv_name = f"stability_{r.prep}_{r.algorithm}.csv"
-        write_matrix_csv(
-            r.costs, window_labels, window_labels, args.out / csv_name, corner="window"
-        )
+        _write_table(args.out / csv_name, ["window", *window_labels], window_labels, r.costs)
         if args.heatmap:
             svg_heatmap(
                 r.costs,
@@ -267,20 +256,11 @@ def cmd_associate(args) -> int:
     )
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / "association.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ASSOCIATION_HEADER)
-        for cell in report.cells:
-            writer.writerow(
-                [
-                    cell.feature,
-                    cell.window,
-                    repr(cell.baseline.sm1),
-                    repr(cell.baseline.sm2_mean),
-                    repr(cell.baseline.sm2_std),
-                    repr(cell.baseline.deviation),
-                ]
-            )
+    rows = [(c.window, c.baseline.sm1, c.baseline.sm2_mean, c.baseline.sm2_std,
+             c.baseline.deviation) for c in report.cells]
+    # an object array keeps the Python int and floats, so each repr is unchanged
+    _write_table(csv_path, ASSOCIATION_HEADER, [c.feature for c in report.cells],
+                 np.array(rows, dtype=object))
     _write_json(
         {
             "schema_version": SCHEMA_VERSION,
@@ -312,14 +292,9 @@ def cmd_associate(args) -> int:
         args.out / "association.json",
     )
     if args.heatmap:
-        deviations = np.array(
-            [
-                [report.cell(f, w).baseline.deviation for w in range(report.window_count)]
-                for f in report.feature_names
-            ]
-        )
+        deviations = np.array([c.baseline.deviation for c in report.cells])  # feature-major
         svg_heatmap(
-            deviations,
+            deviations.reshape(len(report.feature_names), report.window_count),
             list(report.feature_names),
             [f"w{i}" for i in range(report.window_count)],
             args.out / "association_deviation.svg",
@@ -335,11 +310,13 @@ def cmd_associate(args) -> int:
 
 
 def _names(choices):
-    """An argparse type: a comma-separated list of names drawn from ``choices``."""
+    """An argparse type: a comma-separated list of distinct names drawn from ``choices``."""
     def names(text):
         picked = tuple(n.strip() for n in text.split(",") if n.strip())
         if not picked or not set(picked) <= set(choices):
             raise argparse.ArgumentTypeError(f"{text!r}: expected names from {', '.join(choices)}")
+        if len(set(picked)) < len(picked):
+            raise argparse.ArgumentTypeError(f"{text!r}: each name may appear only once")
         return picked
     return names
 

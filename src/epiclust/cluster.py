@@ -475,9 +475,10 @@ def rbf_affinity(points, sigma: float | str = "median") -> np.ndarray:
     # exactly symmetric and non-negative without a symmetrising pass
     d2 = _sq_dists(points, points)
     if sigma == "median":
-        dists = np.sqrt(d2[np.triu_indices(n, k=1)])
-        nonzero = dists[dists > 0]
-        sigma = float(np.median(nonzero)) if nonzero.size else 1.0
+        # a boolean mask takes n^2 bytes, where triu_indices takes 8 n^2
+        dists = d2[np.triu(d2 > 0, k=1)]
+        np.sqrt(dists, out=dists)
+        sigma = float(np.median(dists)) if dists.size else 1.0
     np.divide(d2, -(2.0 * float(sigma) ** 2), out=d2)
     np.exp(d2, out=d2)
     np.fill_diagonal(d2, 0.0)

@@ -20,6 +20,7 @@ from .align import (
     AlignmentResult,
     BalanceDiagnostic,
     BaselineResult,
+    _check_align_k,
     balance_check,
     best_permutation_dissimilarity,
     random_baseline,
@@ -133,6 +134,7 @@ def temporal_stability(
     symmetric with a zero diagonal. Balance diagnostics are attached per
     window.
     """
+    _check_align_k(k)  # before any window is clustered
     if m.n_days < 2 * window_len:
         raise ValueError(
             f"{m.n_days} days yield fewer than 2 windows of {window_len}; "
@@ -212,6 +214,7 @@ def feature_association(
     cell), so deviation = SM2 - SM1 measures how far above chance the
     agreement is.
     """
+    _check_align_k(k)  # before any window is clustered
     if f.region_names != m.region_names:
         raise ValueError(
             "feature table regions are not aligned with the epicurve matrix; "

@@ -9,7 +9,7 @@ ASSOCIATION_TYPES = dict(zip(ASSOCIATION_HEADER, (str, int, float, float, float,
 
 
 def read_matrix_csv(path):
-    """Re-parse a matrix CSV written by ``epiclust.cli.write_matrix_csv``."""
+    """Re-parse a window-by-window cost CSV, as ``stability`` writes it."""
     header, row_labels, values = _read_table(path, "column")
     return row_labels, header[1:], values
 

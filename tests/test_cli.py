@@ -13,7 +13,7 @@ import pytest
 
 from epiclust.cli import build_parser, main
 from epiclust.cluster import KMeansConfig, SpectralConfig
-from epiclust.ingest import load_epicurves, load_features
+from epiclust.ingest import _write_table, load_epicurves, load_features
 from epiclust.pipeline import feature_association, temporal_stability
 from report_readers import read_association_csv, read_matrix_csv
 
@@ -55,7 +55,7 @@ def test_stability_file_contract(fixture_dir, tmp_path):
     ]
     assert len(list(tmp_path.glob("stability_*.svg"))) == 4
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["schema_version"] == "3"
+    assert summary["schema_version"] == "4"
     assert summary["selected"]["prep"] == "none"
     assert len(summary["techniques"]) == 4
     for tech in summary["techniques"]:
@@ -102,7 +102,7 @@ def test_associate_file_contract(fixture_dir, tmp_path):
         assert row["deviation"] == row["sm2_mean"] - row["sm1"]
 
     report = json.loads((tmp_path / "association.json").read_text())
-    assert report["schema_version"] == "3"
+    assert report["schema_version"] == "4"
     assert len(report["cells"]) == 44
     assert len(report["epidemic_labels"]) == 4
     assert (tmp_path / "association_deviation.svg").exists()
@@ -156,6 +156,24 @@ def test_cluster_subcommand(fixture_dir, tmp_path):
     assert best_permutation_dissimilarity(labels, planted, 3).cost == 0.0
 
 
+def test_each_fact_reported_once(fixture_dir, tmp_path):
+    """Labels live only in labels.csv; association.csv repeats association.json exactly."""
+    assert run(["cluster", "--input", fixture_dir / "epicurves.csv",
+                "--prep", "none", "--algo", "kmeans", "--out", tmp_path]) == 0
+    assert "labels" not in json.loads((tmp_path / "clusters.json").read_text())
+    regions = [line.split(",")[0] for line in (tmp_path / "labels.csv").read_text().splitlines()]
+    assert sorted(regions[1:]) == sorted(load_epicurves(fixture_dir / "epicurves.csv").region_names)
+
+    assert run(["associate", "--input", fixture_dir / "epicurves.csv",
+                "--features", fixture_dir / "features.csv", "--prep", "none",
+                "--algo", "kmeans", "--trials", "20", "--out", tmp_path]) == 0
+    rows = read_association_csv(tmp_path / "association.csv")
+    cells = json.loads((tmp_path / "association.json").read_text())["cells"]
+    assert len(rows) == len(cells)
+    for row, cell in zip(rows, cells):
+        assert row == {key: cell[key] for key in row}
+
+
 def test_config_file_overridden_by_flags(fixture_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 2, "trials": 5, "kmeans": {"restarts": 3}}))
@@ -192,11 +210,9 @@ def test_unknown_config_key_exits_2(fixture_dir, tmp_path, capsys, config, named
 
 
 def test_matrix_csv_roundtrip(tmp_path):
-    from epiclust.cli import write_matrix_csv
-
     values = np.array([[0.0, 0.125], [0.125, 0.0]])
     path = tmp_path / "m.csv"
-    write_matrix_csv(values, ["w0", "w1"], ["w0", "w1"], path, corner="window")
+    _write_table(path, ["window", "w0", "w1"], ["w0", "w1"], values)
     rows, cols, back = read_matrix_csv(path)
     assert rows == ["w0", "w1"] and cols == ["w0", "w1"]
     assert np.array_equal(back, values)
@@ -212,6 +228,48 @@ def test_single_technique_rejects_name_list(fixture_dir, tmp_path, capsys, comma
     assert code == 2
     assert f"{flag} takes exactly one name" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--prep", "--algo"])
+def test_repeated_technique_name_exits_2(fixture_dir, tmp_path, capsys, flag):
+    names = "none,zscore,none" if flag == "--prep" else "kmeans,kmeans"
+    out = tmp_path / "out"
+    argv = ["stability", "--input", fixture_dir / "epicurves.csv", "--out", out]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, flag, names])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "each name may appear only once" in err
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: names}))
+    assert run([*argv, "--config", cfg]) == 2
+    assert f"config key {flag[2:]!r}: {names!r}: each name" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["stability", "associate"])
+def test_k_above_alignment_limit_exits_1_before_clustering(
+    fixture_dir, tmp_path, capsys, monkeypatch, command
+):
+    def no_clustering(*args):
+        raise AssertionError("clustered before the k check")
+
+    monkeypatch.setattr("epiclust.pipeline._cluster_window", no_clustering)
+    out = tmp_path / "out"
+    features = ["--features", fixture_dir / "features.csv"] if command == "associate" else []
+    code = run([command, "--input", fixture_dir / "epicurves.csv", *features,
+                "--prep", "none", "--algo", "kmeans", "--k", "13", "--out", out])
+    assert code == 1
+    assert "k=13 is unsupported" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cluster_k_above_alignment_limit_runs(fixture_dir, tmp_path):
+    """cluster aligns nothing, so the alignment's k limit does not apply."""
+    assert run(["cluster", "--input", fixture_dir / "epicurves.csv", "--prep", "none",
+                "--algo", "kmeans", "--k", "13", "--out", tmp_path]) == 0
+    assert json.loads((tmp_path / "clusters.json").read_text())["k"] == 13
 
 
 @pytest.mark.parametrize("command", ["cluster", "stability", "associate"])
