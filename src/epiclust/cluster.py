@@ -19,16 +19,22 @@ frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
 
 Restart r draws its RNG stream from (seed, r) and follows its own trajectory,
 so results do not depend on evaluation order: run in lockstep, each restart
-makes the same draws and reaches the same partition as when run alone.
-k-means++ seeding takes each restart's weights in the Gram form, one BLAS
-product per center index, and keeps a draw only where the rounding bound
-certifies that the difference-form weights give the same index; any other
-restart draws from its difference-form row with the same random number. The
-exact (difference-form) inertia is taken once per distinct final state. Every
-difference-form distance, in k-means and in ``rbf_affinity``, comes from
-``_sq_dists``: (restarts, rows, d) blocks of bounded size, each distance one
-sum over its row's d contiguous values, so it equals the one-centroid value
-bit for bit. Only ``inertia_history`` entries before the last (Gram-form
+makes the same draws and reaches the same partition as when run alone. The
+studies cluster all windows of a technique in one ``_kmeans_windows`` call
+(for spectral, on the windows' embeddings), whose lockstep unit is a
+(window, restart) pair, with one BLAS product per window and step. Windows
+whose restarts all fit in ``KMEANS_JOIN_BYTES`` share a group; a larger
+window runs alone, its restarts in groups that fit in ``KMEANS_GROUP_BYTES``.
+So each window's result equals ``kmeans`` of it alone, which is the
+one-window case. k-means++ seeding takes each restart's weights in the Gram
+form, one BLAS product per center index, and keeps a draw only where the
+rounding bound certifies that the difference-form weights give the same
+index; any other restart draws from its difference-form row with the same
+random number. The exact (difference-form) inertia is taken once per
+distinct final state. Every difference-form distance, in k-means and in
+``rbf_affinity``, comes from ``_sq_dists``: (restarts, rows, d) blocks of
+bounded size, each distance one sum over its row's d contiguous values, so
+it equals the one-centroid value bit for bit. Only ``inertia_history`` entries before the last (Gram-form
 totals) may differ in their last bits, as they may between BLAS builds.
 """
 
@@ -38,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-ALGORITHMS = ("kmeans", "spectral")
+ALGORITHMS = ("spectral", "kmeans")
 LAPLACIAN_KINDS = ("unnormalized", "symmetric_normalized")
 # Restarts of one kmeans call run in lockstep groups that fit in this many
 # bytes; a group of at least one restart is always taken. At the peak of a
@@ -47,6 +53,16 @@ LAPLACIAN_KINDS = ("unnormalized", "symmetric_normalized")
 # and the shift temporaries) and an RNG of about 2 KiB:
 # 16 n (k + 4) + 48 k d + 2 KiB bounds that for every k and d.
 KMEANS_GROUP_BYTES = 4 * 2**20
+# Windows clustered together (``_kmeans_windows``) share a lockstep group while
+# all their restarts fit in this many bytes at the estimate above, so small
+# windows pay the per-step Python work once per group; a window whose
+# restarts do not fit is grouped alone, by KMEANS_GROUP_BYTES. Ten restarts
+# take 97 KB on a 30 x 30 window and 1.18 MB on a 1000 x 30 one. A 30-region
+# stability study (4 windows per technique; 2 vCPU, OpenBLAS) took a median
+# 89.0 ms with no joining, 73.0 at 256 KiB, 67.5 at 512 KiB and 67.2 at
+# 1 and 4 MiB; at 4 MiB the 1000-region windows join too, for 1.4 MiB more
+# peak RSS and no gain.
+KMEANS_JOIN_BYTES = 512 * 2**10
 # Size of the (restarts, rows, d) difference blocks _sq_dists squares at once:
 # as many rows for every restart (or affinity row) as fit, or when one row for
 # each does not fit, one row for as many as fit; a block of at least one row
@@ -203,45 +219,77 @@ def _gram_band(d, radius):
     return (d + 2) * (0.5 * _GRAM_SLACK * (2.0 * radius * radius) + _TINY)
 
 
-def _gram(points, sq_norms, centers, c_norms):
-    """|x|^2 - 2 x.c + |c|^2 of each row x for each of the (m, d) centers,
-    shape (m, n): one BLAS product. Overflow gives inf or nan entries, which
-    every caller sends to the difference form under ``np.errstate``."""
-    d2 = centers @ points.T
-    d2 *= -2.0
-    d2 += sq_norms
-    d2 += c_norms[:, None]
+def _runs(wins):
+    """(window, pairs) for each run of equal entries of the sorted window
+    indices ``wins``, pairs being the slice of that run."""
+    if wins[0] == wins[-1]:
+        return [(int(wins[0]), slice(0, len(wins)))]
+    cuts = [0, *(np.flatnonzero(wins[1:] != wins[:-1]) + 1).tolist(), len(wins)]
+    return [(int(wins[lo]), slice(lo, hi)) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def _rows(points, picks, runs):
+    """``points[w][picks[j]]`` for each pair j of each run (w, pairs), shape
+    (*picks.shape, d)."""
+    out = np.empty((*picks.shape, points[0].shape[1]))
+    for w, pairs in runs:
+        out[pairs] = points[w][picks[pairs]]
+    return out
+
+
+def _gram(points, sq_norms, centers, c_norms, runs):
+    """|x|^2 - 2 x.c + |c|^2 of each row x of a pair's window for each of the
+    pair's m centers, shape (a, m, n) for (a, m, d) centers: one BLAS product
+    per run (w, pairs) of pairs that share window ``points[w]``, whose rows
+    have the squared norms ``sq_norms[w]``. Overflow gives inf or nan
+    entries, which every caller sends to the difference form under
+    ``np.errstate``."""
+    (a, m, d), n = centers.shape, points[0].shape[0]
+    d2 = np.empty((a, m, n))
+    for w, pairs in runs:
+        block = d2[pairs]
+        np.matmul(centers[pairs].reshape(-1, d), points[w].T, out=block.reshape(-1, n))
+        block *= -2.0
+        block += sq_norms[w]
+        block += c_norms[pairs, :, None]
     return d2
 
 
-def _assign(points, sq_norms, x_norm, centroids):
+def _assign(points, sq_norms, x_norms, centroids, runs):
     """Nearest-centroid labels, shape (a, n), and summed squared distances,
-    shape (a,), for the (a, k, d) centroids of a restarts: Gram form, screened
-    per restart, re-scored in the difference form where the screen cannot
-    vouch for the argmin (see ``_GRAM_SLACK``). Ties go to the first centroid."""
+    shape (a,), for the (a, k, d) centroids of a pairs, the pairs of each run
+    (w, pairs) clustering window ``points[w]``, whose largest row norm is
+    ``x_norms[w]``: Gram form, screened per pair, re-scored in the
+    difference form where the screen cannot vouch for the argmin (see
+    ``_GRAM_SLACK``). Ties go to the first centroid."""
     a, k, d = centroids.shape
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves its rows unsettled
         c_norms = (centroids * centroids).sum(axis=2)
-        d2 = _gram(points, sq_norms, centroids.reshape(a * k, d), c_norms.reshape(-1)).reshape(a, k, -1)
+        d2 = _gram(points, sq_norms, centroids, c_norms, runs)
         # first centroid on ties: a later one takes a row only when strictly
-        # closer, and its index exceeds every earlier label. A nan entry makes
-        # the row's minimum nan, which marks the row for re-scoring below
+        # closer, and its index exceeds every earlier label. The row's two
+        # least entries (equal on a tie) are kept; a nan entry makes both nan
         labels = np.zeros(d2[:, 0].shape, dtype=np.intp)
         row_min = d2[:, 0].copy()
+        second = np.empty_like(row_min)
+        second.fill(np.inf)
         for c in range(1, k):
             closer = np.multiply(d2[:, c] < row_min, c, dtype=np.intp)
             np.maximum(labels, closer, out=labels)
+            np.minimum(second, np.maximum(row_min, d2[:, c]), out=second)
             np.minimum(row_min, d2[:, c], out=row_min)
-        tol = _gram_band(d, x_norm + np.sqrt(c_norms.max(axis=1)))
+        radius = np.sqrt(c_norms.max(axis=1))
+        for w, pairs in runs:
+            radius[pairs] += x_norms[w]
         # a row is settled when every entry but its minimum lies beyond the
-        # band (a nan minimum, which compares false, leaves none beyond it)
-        far = d2 > (row_min + tol[:, None])[:, None, :]
-    unsettled = (far.sum(axis=1) != k - 1) | np.isnan(row_min)
-    for j in np.flatnonzero(unsettled.any(axis=1)):
-        redo = np.flatnonzero(unsettled[j])
-        exact = _sq_dists(points[redo], centroids[j])
-        labels[j, redo] = exact.argmin(axis=0)
-        row_min[j, redo] = exact[labels[j, redo], np.arange(redo.size)]
+        # band, that is its second least entry does; a nan compares false
+        unsettled = ~(second > row_min + _gram_band(d, radius)[:, None])
+    for w, pairs in runs:
+        for j in np.flatnonzero(unsettled[pairs].any(axis=1)) + pairs.start:
+            redo = np.flatnonzero(unsettled[j])
+            exact = _sq_dists(points[w][redo], centroids[j])
+            labels[j, redo] = exact.argmin(axis=0)
+            row_min[j, redo] = exact[labels[j, redo], np.arange(redo.size)]
     return labels, row_min.sum(axis=1)
 
 
@@ -288,12 +336,13 @@ def _cdf_picks(weights, totals, draws, slack):
     return np.where(totals > 0, high, draws).astype(np.intp), low == high
 
 
-def _weighted_draws(weights, rngs, error=0.0, exact=None):
+def _weighted_draws(weights, rngs, error=None, exact=None):
     """Per row j of ``weights``, the index ``rngs[j].choice(n, p=w / w.sum())``
     draws, with the same stream use, where w is the exact row that
-    ``weights[j]`` approximates within ``error`` per entry and ``exact(rows)``
-    returns the exact rows of the given row indices: numpy's own inverse CDF,
-    batched over the rows, without ``choice``'s per-call checks.
+    ``weights[j]`` approximates within ``error`` (or ``error[j]``) per entry
+    and ``exact(rows)`` returns the exact rows of the given row indices:
+    numpy's own inverse CDF, batched over the rows, without ``choice``'s
+    per-call checks.
 
     A row whose total proves the exact total positive draws ``random()`` and
     keeps its index when the draw lies at least the slack beta from both CDF
@@ -305,7 +354,7 @@ def _weighted_draws(weights, rngs, error=0.0, exact=None):
     n = weights.shape[1]
     totals = weights.sum(axis=1)
     slack = 0.0
-    if error:
+    if error is not None:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             floor = totals * (1.0 - n * _EPS) - n * error
             slack = 2.0 * n * error / floor + 2.0 * (n + 4) * _EPS
@@ -324,101 +373,158 @@ def _weighted_draws(weights, rngs, error=0.0, exact=None):
     return picks
 
 
-def _plusplus_seeds(points, k, rngs, sq_norms, x_norm):
-    """k-means++ centroids, shape (len(rngs), k, d), one restart per RNG.
+def _plusplus_seeds(points, k, rngs, sq_norms, x_norms, wins):
+    """k-means++ centroids, shape (len(rngs), k, d), one pair per RNG, pair j
+    seeding window ``points[wins[j]]`` (``wins`` sorted).
 
-    The restarts pick their centers in lockstep, one index at a time; each
+    The pairs pick their centers in lockstep, one index at a time; each
     draws from its own stream what a restart seeded alone draws with
-    ``integers`` and ``choice``. A restart's weights are its least Gram-form
-    distances to its centers so far, one BLAS product per center index,
-    clamped at 0; ``_weighted_draws`` keeps a draw only where the rounding
-    bound certifies it and otherwise draws from the difference-form row, so
-    every index equals the one the difference form draws. Nothing reads the
-    distances to the last center, so they are taken to centers 0 .. k - 2."""
-    n, d = points.shape
+    ``integers`` and ``choice``. A pair's weights are its least Gram-form
+    distances to its centers so far, one BLAS product per center index and
+    window, clamped at 0; ``_weighted_draws`` keeps a draw only where the
+    rounding bound certifies it and otherwise draws from the difference-form
+    row, so every index equals the one the difference form draws. Nothing
+    reads the distances to the last center, so they are taken to centers
+    0 .. k - 2."""
+    n, d = points[0].shape
+    runs = _runs(wins)
     picks = np.empty((len(rngs), k), dtype=np.intp)
     picks[:, 0] = [rng.integers(n) for rng in rngs]
-    error = _gram_band(d, 2.0 * x_norm)
+    with np.errstate(over="ignore"):  # a band that overflows is inf and certifies no draw
+        error = _gram_band(d, 2.0 * x_norms[wins])
 
-    def exact(rows):  # the difference-form rows of the given restarts, to centers 0 .. i - 1
-        dists = _sq_dists(points, points[picks[rows, :i]].reshape(-1, d))
-        return dists.reshape(rows.size, i, n).min(axis=1)
+    def exact(rows):  # the difference-form rows of the given pairs, to centers 0 .. i - 1
+        out = np.empty((rows.size, n))
+        for w, part in _runs(wins[rows]):
+            dists = _sq_dists(points[w], points[w][picks[rows[part], :i]].reshape(-1, d))
+            out[part] = dists.reshape(-1, i, n).min(axis=1)
+        return out
 
     for i in range(1, k):
-        last = picks[:, i - 1]
+        last = picks[:, i - 1 : i]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow certifies no draw
-            dists = _gram(points, sq_norms, points[last], sq_norms[last])
+            centers = _rows(points, last, runs)
+            dists = _gram(points, sq_norms, centers, sq_norms[wins[:, None], last], runs)[:, 0]
             np.maximum(dists, 0.0, out=dists)
         d2 = dists if i == 1 else np.minimum(d2, dists, out=d2)
         picks[:, i] = _weighted_draws(d2, rngs, error, exact)
-    return points[picks]
+    return _rows(points, picks, runs)
 
 
-def _lloyd_group(points, k, cfg: KMeansConfig, restarts, sq_norms, x_norm):
-    """Lloyd iterations of the given restarts in lockstep.
+def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms):
+    """Lloyd iterations of the given (window, restart) pairs in lockstep.
 
-    Each step assigns every live restart with one ``_assign`` call; centroid
-    updates stay per restart and per cluster. A restart leaves when its labels
+    ``points[w]`` is window w's (n, d) array, ``sq_norms[w]`` its rows'
+    squared norms and ``x_norms[w]`` the largest row norm; ``pairs`` are
+    sorted by window. Each step assigns every live pair with one ``_assign``
+    call, one BLAS product per window; centroid updates stay per pair and
+    per cluster, on the pair's own window. A pair leaves when its labels
     repeat after a step with no re-seed, when its centroids move less than
     ``cfg.epsilon`` (one more assignment then gives its final labels) or at
-    ``cfg.max_iters``. Yields (labels, centroids, inertia, history) per
-    restart, in order, each equal bit for bit to a run of that restart alone:
-    the exact inertia is taken once per distinct final state.
+    ``cfg.max_iters``. Yields (labels, centroids, inertia, history) per pair,
+    in order, each equal bit for bit to a run of that restart alone on its
+    window: the exact inertia is taken once per distinct final state.
     """
-    n, g = points.shape[0], len(restarts)
-    rngs = [np.random.default_rng([cfg.seed, r]) for r in restarts]
-    centroids = _plusplus_seeds(points, k, rngs, sq_norms, x_norm)
+    n, g = points[0].shape[0], len(pairs)
+    wins = np.array([w for w, _ in pairs], dtype=np.intp)
+    rngs = [np.random.default_rng([cfg.seed, r]) for _, r in pairs]
+    centroids = _plusplus_seeds(points, k, rngs, sq_norms, x_norms, wins)
     histories = [[] for _ in range(g)]
     final = np.empty((g, n), dtype=np.intp)
     repeat = np.full((g, n), -1)  # last labels whose means fill every centroid
     stale = np.zeros(g, dtype=bool)  # centroids moved < epsilon: the next labels are final
-    live = np.arange(g)
+    live, live_wins, runs = np.arange(g), wins, _runs(wins)
     for step in range(cfg.max_iters + 1):
-        labels, totals = _assign(points, sq_norms, x_norm, centroids[live])
+        labels, totals = _assign(points, sq_norms, x_norms, centroids[live], runs)
         moving = ~stale[live] & (step < cfg.max_iters)
-        for j, total in zip(live[moving], totals[moving]):
-            histories[j].append(float(total))
+        for j, total in zip(live[moving].tolist(), totals[moving].tolist()):
+            histories[j].append(total)
         # the means of repeated labels are the current centroids, bit for
         # bit: the next shift is 0 and these labels are final
         done = ~moving | (labels == repeat[live]).all(axis=1)
-        leaving = live[done]
-        final[leaving] = labels[done]
-        live, labels = live[~done], labels[~done]
-        if not live.size:
-            break
+        if done.any():
+            final[live[done]] = labels[done]
+            live, live_wins, labels = live[~done], live_wins[~done], labels[~done]
+            if not live.size:
+                break
+            runs = _runs(live_wins)
         members = labels[:, None, :] == np.arange(k)[:, None]
         counts = members.sum(axis=2)
         old = centroids[live]
         new = old.copy()
-        for i, row in enumerate(counts.tolist()):
-            for c, count in enumerate(row):
+        for w, masks, sums, row in zip(live_wins.tolist(), members, new, counts.tolist()):
+            x = points[w]
+            for mask, out, count in zip(masks, sums, row):
                 if count:
-                    np.add.reduce(points.compress(members[i, c], axis=0), axis=0, out=new[i, c])
+                    np.add.reduce(x.compress(mask, axis=0), axis=0, out=out)
         filled = counts > 0
-        # sum / count: bit-equal to .mean(axis=0), without its wrapper cost
-        new[filled] /= counts[filled][:, None]
+        # sum / count: bit-equal to .mean(axis=0), without its wrapper cost;
+        # an empty cluster keeps its centroid until it is re-seeded below
+        new /= np.maximum(counts, 1)[:, :, None]
         for i in np.flatnonzero(~filled.all(axis=1)):
             # re-seed each empty cluster with the point farthest from its
             # current centroid, never reusing a point twice
-            dist_to_own = _sq_dists(points, old[i : i + 1], labels[i : i + 1])[0]
+            x = points[live_wins[i]]
+            dist_to_own = _sq_dists(x, old[i : i + 1], labels[i : i + 1])[0]
             for c in np.flatnonzero(~filled[i]):
                 far = int(dist_to_own.argmax())
-                new[i, c] = points[far]
+                new[i, c] = x[far]
                 dist_to_own[far] = -1.0
         repeat[live] = np.where(filled.all(axis=1)[:, None], labels, -1)
         shift = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
         centroids[live] = new
         stale[live] = shift < cfg.epsilon
-    keys = [final[j].tobytes() + centroids[j].tobytes() for j in range(g)]
-    firsts = {}  # the first restart of each distinct final state
+    keys = [(w, final[j].tobytes() + centroids[j].tobytes()) for j, w in enumerate(wins.tolist())]
+    firsts = {}  # the first pair of each distinct final state
     for j, key in enumerate(keys):
         firsts.setdefault(key, j)
     # exact, in the difference form's per-row values and summation order: each
     # row of the distances is contiguous, so its sum is a lone row's
-    rows = list(firsts.values())
-    inertias = dict(zip(firsts, _sq_dists(points, centroids[rows], final[rows]).sum(axis=1).tolist()))
+    rows = np.array(list(firsts.values()))
+    exact = np.empty(rows.size)
+    for w, part in _runs(wins[rows]):
+        exact[part] = _sq_dists(points[w], centroids[rows[part]], final[rows[part]]).sum(axis=1)
+    inertias = dict(zip(firsts, exact.tolist()))
     for j, key in enumerate(keys):
         yield final[j].copy(), centroids[j].copy(), inertias[key], (*histories[j], inertias[key])
+
+
+def _kmeans_windows(windows, k: int, cfg: KMeansConfig) -> list[ClusterAssignment]:
+    """``kmeans`` of each of the point sets ``windows``, which share one
+    shape, with every (window, restart) pair run in lockstep groups.
+
+    Windows whose restarts together fit in ``KMEANS_JOIN_BYTES`` share a
+    group; a window too large for that runs alone, its restarts split into
+    groups that fit in ``KMEANS_GROUP_BYTES``. Each pair keeps the stream
+    and the trajectory of its restart run alone on its window, so each
+    result equals ``kmeans`` of that window bit for bit."""
+    windows = [_as_points(points) for points in windows]
+    n, d = windows[0].shape
+    if any(points.shape != (n, d) for points in windows):
+        raise ValueError(f"windows differ in shape: {sorted({p.shape for p in windows})}")
+    _check_k(k, n)
+    with np.errstate(over="ignore"):  # an overflow sends the Gram form's rows to the difference form
+        sq_norms = np.concatenate([_sq_dists(points, np.zeros((1, d))) for points in windows])
+    x_norms = np.sqrt(sq_norms.max(axis=1))
+    restart_bytes = 16 * n * (k + 4) + 48 * k * d + 2048
+    if cfg.restarts * restart_bytes <= KMEANS_JOIN_BYTES:
+        joined = KMEANS_JOIN_BYTES // (cfg.restarts * restart_bytes)
+        groups = [(range(w, min(w + joined, len(windows))), range(cfg.restarts))
+                  for w in range(0, len(windows), joined)]
+    else:
+        size = max(1, KMEANS_GROUP_BYTES // restart_bytes)
+        groups = [(range(w, w + 1), range(r, min(r + size, cfg.restarts)))
+                  for w in range(len(windows)) for r in range(0, cfg.restarts, size)]
+    best = [None] * len(windows)
+    for group_windows, restarts in groups:
+        pairs = [(w, r) for w in group_windows for r in restarts]
+        for (w, _), result in zip(pairs, _lloyd_group(windows, k, cfg, pairs, sq_norms, x_norms)):
+            if best[w] is None or result[2] < best[w][2]:
+                best[w] = result
+    return [
+        ClusterAssignment(labels, k, centroids, inertia, inertia_history=history)
+        for labels, centroids, inertia, history in best
+    ]
 
 
 def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignment:
@@ -437,23 +543,10 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignm
     therefore equal those of the difference form bit for bit, exact ties
     going to the first centroid. Entries of ``inertia_history`` before the
     last may carry Gram-form rounding; the last is the exact ``inertia``.
-    Non-finite points raise ``ValueError``.
+    Non-finite points raise ``ValueError``. This is ``_kmeans_windows`` with
+    one window.
     """
-    points = _as_points(points)
-    n = points.shape[0]
-    _check_k(k, n)
-    with np.errstate(over="ignore"):  # an overflow sends the Gram form's rows to the difference form
-        sq_norms = _sq_dists(points, np.zeros((1, points.shape[1])))[0]
-    x_norm = float(np.sqrt(sq_norms.max()))  # a Python float: bands that overflow are inf, silently
-    size = max(1, KMEANS_GROUP_BYTES // (16 * n * (k + 4) + 48 * k * points.shape[1] + 2048))
-    best = None
-    for start in range(0, cfg.restarts, size):
-        restarts = range(start, min(start + size, cfg.restarts))
-        for result in _lloyd_group(points, k, cfg, restarts, sq_norms, x_norm):
-            if best is None or result[2] < best[2]:
-                best = result
-    labels, centroids, inertia, history = best
-    return ClusterAssignment(labels, k, centroids, inertia, inertia_history=history)
+    return _kmeans_windows([points], k, cfg)[0]
 
 
 def rbf_affinity(points, sigma: float | str = "median") -> np.ndarray:
@@ -475,10 +568,11 @@ def rbf_affinity(points, sigma: float | str = "median") -> np.ndarray:
     # exactly symmetric and non-negative without a symmetrising pass
     d2 = _sq_dists(points, points)
     if sigma == "median":
-        # a boolean mask takes n^2 bytes, where triu_indices takes 8 n^2
+        # a boolean mask takes n^2 bytes, where triu_indices takes 8 n^2;
+        # dists is a private copy, so the median may select in place
         dists = d2[np.triu(d2 > 0, k=1)]
         np.sqrt(dists, out=dists)
-        sigma = float(np.median(dists)) if dists.size else 1.0
+        sigma = float(np.median(dists, overwrite_input=True)) if dists.size else 1.0
     np.divide(d2, -(2.0 * float(sigma) ** 2), out=d2)
     np.exp(d2, out=d2)
     np.fill_diagonal(d2, 0.0)
@@ -542,6 +636,17 @@ def eigengap_suggest_k(eigenvalues, k_max: int) -> int:
     return int(gaps.argmax()) + 1
 
 
+def _spectral_embedding(w, k: int, cfg: SpectralConfig) -> tuple[np.ndarray, int]:
+    """The rows of the first k eigenvectors of the Laplacian of affinity ``w``
+    (ascending ``numpy.linalg.eigh``), as an (n, k) copy that frees the
+    (n, n) eigenvectors, and the eigengap suggestion."""
+    w = np.asarray(w, dtype=float)
+    n = w.shape[0]
+    _check_k(k, n)
+    eigenvalues, eigenvectors = np.linalg.eigh(laplacian(w, cfg.laplacian))
+    return eigenvectors[:, :k].copy(), eigengap_suggest_k(eigenvalues, k_max=min(n - 1, 8))
+
+
 def spectral_from_affinity(
     w, k: int, cfg: SpectralConfig = SpectralConfig(), kmeans_cfg: KMeansConfig = KMeansConfig()
 ) -> ClusterAssignment:
@@ -551,13 +656,7 @@ def spectral_from_affinity(
     of the first k eigenvector columns -> k-means. The eigengap suggestion is
     attached as metadata; the given k stays authoritative.
     """
-    w = np.asarray(w, dtype=float)
-    n = w.shape[0]
-    _check_k(k, n)
-    lap = laplacian(w, cfg.laplacian)
-    eigenvalues, eigenvectors = np.linalg.eigh(lap)
-    embedding = eigenvectors[:, :k]
-    suggested = eigengap_suggest_k(eigenvalues, k_max=min(n - 1, 8))
+    embedding, suggested = _spectral_embedding(w, k, cfg)
     return replace(kmeans(embedding, k, kmeans_cfg), suggested_k=suggested)
 
 
@@ -566,6 +665,17 @@ def spectral_cluster(
 ) -> ClusterAssignment:
     """Full spectral pipeline on raw observation vectors."""
     return spectral_from_affinity(rbf_affinity(points, cfg.sigma), k, cfg, kmeans_cfg)
+
+
+def _spectral_windows(
+    windows, k: int, cfg: SpectralConfig, kmeans_cfg: KMeansConfig
+) -> list[ClusterAssignment]:
+    """``spectral_cluster`` of each of the point sets ``windows``, which share
+    one shape: each window's embedding and eigengap first, then one
+    ``_kmeans_windows`` over the embeddings."""
+    spectra = [_spectral_embedding(rbf_affinity(points, cfg.sigma), k, cfg) for points in windows]
+    found = _kmeans_windows([embedding for embedding, _ in spectra], k, kmeans_cfg)
+    return [replace(km, suggested_k=suggested) for km, (_, suggested) in zip(found, spectra)]
 
 
 def _leftmost_splits(prev, sums, weights, rows, lo, hi):

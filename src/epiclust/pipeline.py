@@ -26,15 +26,18 @@ from .align import (
     random_baseline,
 )
 from .cluster import (
+    ALGORITHMS,
     ClusterAssignment,
     KMeansConfig,
     SpectralConfig,
+    _kmeans_windows,
+    _spectral_windows,
     cluster_scalar_feature,
     kmeans,
     spectral_cluster,
 )
 from .ingest import EpicurveMatrix, FeatureTable, split_windows
-from .preprocess import apply_preprocess
+from .preprocess import PREPROCESS_KINDS, apply_preprocess
 
 PREP_SCOPES = ("per_window", "full_series")
 
@@ -91,12 +94,28 @@ class AssociationReport:
         return self.cells[self.feature_names.index(feature) * self.window_count + window]
 
 
+def _unknown_algorithm(algo) -> ValueError:
+    return ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+
+
 def _cluster_window(points, algo, k, kmeans_cfg, spectral_cfg) -> ClusterAssignment:
+    """One point set, by the public ``kmeans`` or ``spectral_cluster``."""
     if algo == "kmeans":
         return kmeans(points, k, kmeans_cfg)
     if algo == "spectral":
         return spectral_cluster(points, k, spectral_cfg, kmeans_cfg)
-    raise ValueError(f"unknown algorithm {algo!r}; expected 'kmeans' or 'spectral'")
+    raise _unknown_algorithm(algo)
+
+
+def _cluster_windows(windows, algo, k, kmeans_cfg, spectral_cfg) -> list[ClusterAssignment]:
+    """Every window, with one lockstep k-means over all of them: on the day
+    vectors for ``kmeans``, on the spectral embeddings for ``spectral``. Each
+    result equals ``_cluster_window`` of its window bit for bit."""
+    if algo == "kmeans":
+        return _kmeans_windows(windows, k, kmeans_cfg)
+    if algo == "spectral":
+        return _spectral_windows(windows, k, spectral_cfg, kmeans_cfg)
+    raise _unknown_algorithm(algo)
 
 
 def _window_assignments(
@@ -108,9 +127,16 @@ def _window_assignments(
         windows = split_windows(apply_preprocess(m, prep), window_len)
     else:
         windows = [apply_preprocess(w, prep) for w in split_windows(m, window_len)]
-    return [
-        _cluster_window(w.values, algo, k, kmeans_cfg, spectral_cfg) for w in windows
-    ]
+    return _cluster_windows([w.values for w in windows], algo, k, kmeans_cfg, spectral_cfg)
+
+
+def _in_order(names, known, what) -> list[str]:
+    """``names`` in the order of ``known``; a name not in ``known`` raises."""
+    names = list(names)
+    for name in names:
+        if name not in known:
+            raise ValueError(f"unknown {what} {name!r}; expected one of {known}")
+    return sorted(names, key=known.index)
 
 
 def temporal_stability(
@@ -132,7 +158,9 @@ def temporal_stability(
     clustered on their in-window day vectors, and every window pair (i < j)
     is aligned; the cost fills both (i, j) and (j, i), so the matrix is
     symmetric with a zero diagonal. Balance diagnostics are attached per
-    window.
+    window. The results come in the fixed order of ``PREPROCESS_KINDS`` and
+    ``ALGORITHMS``, whatever the order of ``preps`` and ``algos``, so the
+    selection and the reports do not depend on it.
     """
     _check_align_k(k)  # before any window is clustered
     if m.n_days < 2 * window_len:
@@ -141,8 +169,8 @@ def temporal_stability(
             "cross-window comparison needs at least 2"
         )
     results = []
-    for prep in preps:
-        for algo in algos:
+    for prep in _in_order(preps, PREPROCESS_KINDS, "preprocessing kind"):
+        for algo in _in_order(algos, ALGORITHMS, "algorithm"):
             assignments = _window_assignments(
                 m, prep, algo, k, kmeans_cfg, spectral_cfg, window_len, prep_scope
             )
@@ -163,9 +191,9 @@ def select_technique(results) -> tuple[str, str]:
     """The (prep, algo) pair with the most time-stable, non-degenerate clusters.
 
     Pairs with any degenerate window are excluded; among the rest the lowest
-    mean off-diagonal cost wins, first-listed on ties. If every pair is
-    degenerate somewhere, the least-degenerate one is returned under a
-    warning.
+    mean off-diagonal cost wins, first-listed on ties (``temporal_stability``
+    lists them in a fixed order). If every pair is degenerate somewhere, the
+    least-degenerate one is returned under a warning.
     """
     results = list(results)
     if not results:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from epiclust.cli import build_parser, main
-from epiclust.cluster import KMeansConfig, SpectralConfig
+from epiclust.cluster import ALGORITHMS, KMeansConfig, SpectralConfig
 from epiclust.ingest import _write_table, load_epicurves, load_features
 from epiclust.pipeline import feature_association, temporal_stability
+from epiclust.preprocess import PREPROCESS_KINDS
 from report_readers import read_association_csv, read_matrix_csv
 
 
@@ -248,6 +249,38 @@ def test_repeated_technique_name_exits_2(fixture_dir, tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "preps, algos",
+    [(PREPROCESS_KINDS, ALGORITHMS), (("none", "minmax_global"), ("kmeans",))],
+    ids=["all", "tied_pair"],
+)
+def test_stability_reports_do_not_depend_on_flag_order(tmp_path, preps, algos):
+    """Permuting --prep and --algo gives the same selection and the same bytes.
+
+    On this 30-region fixture none/kmeans, population/kmeans and
+    minmax_global/kmeans tie at mean_offdiag 0, so a selection that broke
+    ties by flag order would follow the order given."""
+    fixture = tmp_path / "fixture"
+    assert main(["synth", "--regions", "30", "--days", "120", "--k-true", "3",
+                 "--seed", "0", "--out", str(fixture)]) == 0
+    rng = np.random.default_rng(0)
+    orders = [(preps, algos), (preps[::-1], algos[::-1])]
+    orders += [(rng.permutation(preps), rng.permutation(algos)) for _ in range(2)]
+    reports = []
+    for i, (prep_order, algo_order) in enumerate(orders):
+        out = tmp_path / f"out{i}"
+        assert run(["stability", "--input", fixture / "epicurves.csv",
+                    "--populations", fixture / "populations.csv",
+                    "--prep", ",".join(prep_order), "--algo", ",".join(algo_order),
+                    "--out", out, "--heatmap"]) == 0
+        reports.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    summary = json.loads(reports[0]["summary.json"])
+    assert [(t["prep"], t["algorithm"]) for t in summary["techniques"]] == [
+        (prep, algo) for prep in preps for algo in algos
+    ]
+    assert all(report == reports[0] for report in reports[1:])
+
+
 @pytest.mark.parametrize("command", ["stability", "associate"])
 def test_k_above_alignment_limit_exits_1_before_clustering(
     fixture_dir, tmp_path, capsys, monkeypatch, command
@@ -255,7 +288,7 @@ def test_k_above_alignment_limit_exits_1_before_clustering(
     def no_clustering(*args):
         raise AssertionError("clustered before the k check")
 
-    monkeypatch.setattr("epiclust.pipeline._cluster_window", no_clustering)
+    monkeypatch.setattr("epiclust.pipeline._cluster_windows", no_clustering)
     out = tmp_path / "out"
     features = ["--features", fixture_dir / "features.csv"] if command == "associate" else []
     code = run([command, "--input", fixture_dir / "epicurves.csv", *features,
@@ -441,7 +474,7 @@ def test_population_prep_without_populations_exits_2(
         raise AssertionError("clustered before the --prep check")
 
     monkeypatch.setattr("epiclust.cli._cluster_window", no_clustering)
-    monkeypatch.setattr("epiclust.pipeline._cluster_window", no_clustering)
+    monkeypatch.setattr("epiclust.pipeline._cluster_windows", no_clustering)
     out = tmp_path / "out"
     features = ["--features", fixture_dir / "features.csv"] if command == "associate" else []
     code = run([command, "--input", fixture_dir / "epicurves.csv", *features, *argv,

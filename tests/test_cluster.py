@@ -12,6 +12,7 @@ from epiclust.align import best_permutation_dissimilarity
 from epiclust.cluster import (
     BLOCK_BYTES,
     KMEANS_GROUP_BYTES,
+    KMEANS_JOIN_BYTES,
     ClusterAssignment,
     KMeansConfig,
     SpectralConfig,
@@ -20,9 +21,12 @@ from epiclust.cluster import (
     _check_k,
     _gram,
     _gram_band,
+    _kmeans_windows,
     _leftmost_splits,
     _lloyd_group,
     _plusplus_seeds,
+    _spectral_embedding,
+    _spectral_windows,
     _sq_dists,
     _weighted_draws,
     check_symmetric,
@@ -34,6 +38,9 @@ from epiclust.cluster import (
     spectral_cluster,
     spectral_from_affinity,
 )
+from epiclust.ingest import split_windows
+from epiclust.preprocess import apply_preprocess
+from epiclust.synth import generate_fixture
 
 
 def blocks_affinity(sizes, within=1.0):
@@ -324,7 +331,8 @@ def test_exact_tie_goes_to_the_first_centroid():
     gram = (points**2).sum(1)[:, None] - 2.0 * points @ centroids.T + (centroids**2).sum(1)
     assert gram[0].argmin() == 1  # the case the screen exists for
     sq_norms = (points * points).sum(axis=1)
-    labels, totals = _assign(points, sq_norms, np.sqrt(sq_norms.max()), centroids[None])
+    labels, totals = _assign([points], sq_norms[None], np.sqrt(sq_norms.max(keepdims=True)),
+                            centroids[None], [(0, slice(0, 1))])
     assert labels.tolist() == [[0, 0]]
     assert totals.tolist() == [0.0625 + 0.5625]
 
@@ -339,7 +347,8 @@ def test_screen_band_is_sized_per_restart():
     gram = (points**2).sum(1)[:, None] - 2.0 * points @ centroids[1].T + (centroids[1] ** 2).sum(1)
     assert gram[0].argmin() == 1
     sq_norms = (points * points).sum(axis=1)
-    labels, totals = _assign(points, sq_norms, np.sqrt(sq_norms.max()), centroids)
+    labels, totals = _assign([points], sq_norms[None], np.sqrt(sq_norms.max(keepdims=True)),
+                            centroids, [(0, slice(0, len(centroids)))])
     assert labels.tolist() == [[0], [0]]
     assert totals.tolist() == [1.0, 99999997.75**2]
 
@@ -353,7 +362,8 @@ def test_gram_entry_that_overflows_is_re_scored():
     exact = ((points - centroids[0]) ** 2).sum(axis=1)
     assert np.isfinite(exact).all() and exact.argmin() == 1
     sq_norms = (points * points).sum(axis=1)
-    labels, totals = _assign(points, sq_norms, np.sqrt(sq_norms.max()), centroids)
+    labels, totals = _assign([points], sq_norms[None], np.sqrt(sq_norms.max(keepdims=True)),
+                            centroids, [(0, slice(0, len(centroids)))])
     assert labels.tolist() == [[1]]
     assert totals.tolist() == [exact[1]]
 
@@ -362,7 +372,9 @@ def test_kmeans_groups_and_blocks_match_the_reference(monkeypatch):
     # restarts alone, in groups of three (the last one short) and all ten in
     # one group: the winner is the first restart with the lowest inertia,
     # across groups too; grid points make many restarts tie on inertia. Row
-    # distances are taken a few rows at a time, rarely a divisor of n.
+    # distances are taken a few rows at a time, rarely a divisor of n. No
+    # window joins another, so the group budget alone sizes the groups.
+    monkeypatch.setattr("epiclust.cluster.KMEANS_JOIN_BYTES", 0)
     rng = np.random.default_rng(17)
     for _ in range(12):
         n, d = int(rng.integers(5, 60)), int(rng.integers(1, 4))
@@ -521,7 +533,8 @@ def _seeding_rows(pts, centers):
     sq_norms = (pts * pts).sum(axis=1)
     gram = np.full((len(centers), n), np.inf)
     for c in centers.T:
-        gram = np.minimum(gram, np.maximum(_gram(pts, sq_norms, pts[c], sq_norms[c]), 0.0))
+        one = _gram([pts], sq_norms[None], pts[c][:, None], sq_norms[c][:, None], [(0, slice(0, len(c)))])
+        gram = np.minimum(gram, np.maximum(one[:, 0], 0.0))
     exact = np.array([((pts[:, None, :] - pts[row]) ** 2).sum(axis=2).min(axis=1) for row in centers])
     return gram, exact, _gram_band(d, 2.0 * np.sqrt(sq_norms.max()))
 
@@ -660,7 +673,8 @@ def test_restarts_sharing_final_labels_keep_their_own_inertia(monkeypatch):
     assert kmeans(points, 2, cfg).centroids.tolist() == [[0.5], [10.5]]
     monkeypatch.setattr("epiclust.cluster._GRAM_SLACK", np.inf)
     sq_norms = (points * points).sum(axis=1)
-    results = list(_lloyd_group(points, 2, cfg, range(2), sq_norms, np.sqrt(sq_norms.max())))
+    pairs = [(0, 0), (0, 1)]
+    results = list(_lloyd_group([points], 2, cfg, pairs, sq_norms[None], np.sqrt(sq_norms.max(keepdims=True))))
     assert [labels.tolist() for labels, *_ in results] == [[0, 0, 1, 1]] * 2
     for labels, centroids, inertia, _ in results:
         assert inertia == ((points - centroids[labels]) ** 2).sum(axis=1).sum()
@@ -687,6 +701,134 @@ def test_kmeans_overflowing_distances_raise():
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError):
             kmeans([[1e200], [-1e200], [0.0]], 2)
+
+
+# --- all windows of a study in one lockstep k-means ---------------------------
+
+
+def _study_windows(preps):
+    """The four 30 x 30 windows of a 30-region fixture under each prep, in order."""
+    fixture = generate_fixture(n_regions=30, n_days=120, k_true=3, seed=0)
+    return [apply_preprocess(w, prep).values for prep in preps for w in split_windows(fixture.epicurves, 30)]
+
+
+def _recorded_groups(monkeypatch):
+    """The windows of each lockstep group that _lloyd_group runs, as it runs them."""
+    groups = []
+
+    def recording(points, k, cfg, pairs, *norms):
+        groups.append(sorted({w for w, _ in pairs}))
+        return _lloyd_group(points, k, cfg, pairs, *norms)
+
+    monkeypatch.setattr("epiclust.cluster._lloyd_group", recording)
+    return groups
+
+
+def _restart_bytes(n, d, k):
+    return 16 * n * (k + 4) + 48 * k * d + 2048
+
+
+def _budgets(count, n, d, k, cfg):
+    """(join budget, group budget) -> the windows of each group: as many windows
+    as fit in the join budget, three at a time, each alone with all its
+    restarts, and each alone with its restarts three at a time."""
+    window = cfg.restarts * _restart_bytes(n, d, k)
+    fit = KMEANS_JOIN_BYTES // window
+    assert fit > 1
+    restarts_alone = -(-cfg.restarts // 3)
+    return {
+        (KMEANS_JOIN_BYTES, KMEANS_GROUP_BYTES): [list(range(w, min(w + fit, count))) for w in range(0, count, fit)],
+        (3 * window, KMEANS_GROUP_BYTES): [list(range(w, min(w + 3, count))) for w in range(0, count, 3)],
+        (0, KMEANS_GROUP_BYTES): [[w] for w in range(count)],
+        (0, 3 * _restart_bytes(n, d, k)): [[w] for w in range(count) for _ in range(restarts_alone)],
+    }
+
+
+def assert_windows_match(monkeypatch, windows, k, cfg):
+    """_kmeans_windows equals kmeans of each window alone and the reference,
+    bit for bit, under every grouping of _budgets."""
+    alone = [kmeans(points, k, cfg) for points in windows]
+    want = [reference_kmeans(points, k, cfg) for points in windows]
+    groups = _recorded_groups(monkeypatch)
+    for (join, size), expected in _budgets(len(windows), *windows[0].shape, k, cfg).items():
+        monkeypatch.setattr("epiclust.cluster.KMEANS_JOIN_BYTES", join)
+        monkeypatch.setattr("epiclust.cluster.KMEANS_GROUP_BYTES", size)
+        groups.clear()
+        got = _kmeans_windows(windows, k, cfg)
+        assert groups == expected
+        assert len(got) == len(windows)
+        for batched, one, ref in zip(got, alone, want):
+            assert_same_as_reference(batched, one)
+            assert_same_as_reference(batched, ref)
+
+
+def test_batched_windows_of_two_preps_equal_kmeans_alone_and_the_reference(monkeypatch):
+    # the 30 x 30 day-vector windows a stability study clusters, under two
+    # preps of different scale: one group holds windows of both
+    windows = _study_windows(("zscore", "minmax_global"))
+    for seed in (0, 3):
+        assert_windows_match(monkeypatch, windows, 3, KMeansConfig(seed=seed))
+
+
+def test_batched_spectral_embeddings_equal_kmeans_alone_and_the_reference(monkeypatch):
+    # the 30 x 3 eigenvector rows that the spectral path clusters
+    windows = _study_windows(("none", "minmax_row"))
+    cfg, spectral_cfg = KMeansConfig(), SpectralConfig()
+    embeddings = [_spectral_embedding(rbf_affinity(points), 3, spectral_cfg)[0] for points in windows]
+    assert embeddings[0].shape == (30, 3)
+    assert_windows_match(monkeypatch, embeddings, 3, cfg)
+    for batched, points in zip(_spectral_windows(windows, 3, spectral_cfg, cfg), windows):
+        one = spectral_cluster(points, 3, spectral_cfg, cfg)
+        assert_same_as_reference(batched, one)
+        assert batched.suggested_k == one.suggested_k
+
+
+def test_batched_windows_re_seed_and_re_score_as_alone(monkeypatch):
+    # half the windows hold fewer distinct points than k: k-means++ draws two
+    # coinciding centroids there, the later one wins no row and is re-seeded
+    # inside a group shared with ordinary windows
+    rng = np.random.default_rng(8)
+    windows = []
+    for w in range(12):
+        if w % 2:
+            distinct = rng.integers(-2, 3, (2, 3)).astype(float)
+            windows.append(distinct[rng.integers(2, size=20)])
+        else:
+            windows.append(rng.standard_normal((20, 3)) * 10.0 ** rng.integers(-3, 4))
+    cfg = KMeansConfig(restarts=4, seed=5)
+    assert_windows_match(monkeypatch, windows, 3, cfg)
+    # no band at all: every seeding draw and every row goes to the difference form
+    monkeypatch.setattr("epiclust.cluster._GRAM_SLACK", np.inf)
+    for batch in (windows, _study_windows(("none", "zscore"))):
+        assert_windows_match(monkeypatch, batch, 3, cfg)
+
+
+def test_batched_windows_screen_each_window_by_its_own_norms(monkeypatch):
+    # a small window first, then windows near 1e7 whose near-ties the Gram
+    # form misorders: a band or a seeding slack sized by the first window's
+    # norms would settle those rows or keep those draws
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        windows = [rng.standard_normal((40, 3))]
+        windows += [ORACLE_FAMILIES["offset_1e7_unit_steps"](rng, 40, 3) for _ in range(5)]
+        assert_windows_match(monkeypatch, windows, 3, KMeansConfig(restarts=3, seed=int(rng.integers(1000))))
+
+
+def test_windows_sharing_a_final_state_keep_their_own_inertia():
+    # both windows end at labels [0, 0, 1, 1] and centroids 1 and 11 in every
+    # restart, but their points lie at different distances from them
+    near, far = np.array([[0.0], [2.0], [10.0], [12.0]]), np.array([[-1.0], [3.0], [9.0], [13.0]])
+    cfg = KMeansConfig(restarts=3)
+    got = _kmeans_windows([near, far], 2, cfg)
+    assert got[0].centroids.tobytes() == got[1].centroids.tobytes()
+    assert [a.inertia for a in got] == [4.0, 16.0]
+    for batched, points in zip(got, (near, far)):
+        assert_same_as_reference(batched, reference_kmeans(points, 2, cfg))
+
+
+def test_batched_windows_must_share_a_shape():
+    with pytest.raises(ValueError, match="windows differ in shape"):
+        _kmeans_windows([np.zeros((5, 2)), np.zeros((6, 2))], 2, KMeansConfig())
 
 
 # --- affinity / laplacian / eigengap -----------------------------------------
@@ -753,9 +895,10 @@ def test_rbf_blocked_matches_one_shot_bit_for_bit(monkeypatch):
 
 def test_rbf_county_scale_memory_bounded():
     pts = np.random.default_rng(0).standard_normal((3142, 30))
-    # the unblocked (n, n, d) difference tensor alone is 2.2 GiB here, and the
-    # two int64 arrays of triu_indices for the median sigma 75 MiB
-    assert _traced_peak(rbf_affinity, pts) < 160 * 2**20
+    # the unblocked (n, n, d) difference tensor alone is 2.2 GiB here, the
+    # two int64 arrays of triu_indices for the median sigma 75 MiB, and a
+    # median that copies its input again 38 MiB
+    assert _traced_peak(rbf_affinity, pts) < 130 * 2**20
 
 
 def test_laplacian_two_node_path():
