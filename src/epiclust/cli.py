@@ -38,7 +38,7 @@ from .cluster import ALGORITHMS, LAPLACIAN_KINDS, KMeansConfig, SpectralConfig, 
 from .ingest import IngestError, _write_table, load_epicurves, load_features
 from .pipeline import (
     PREP_SCOPES,
-    _cluster_window,
+    _cluster_windows,
     feature_association,
     select_technique,
     temporal_stability,
@@ -159,7 +159,7 @@ def cmd_cluster(args) -> int:
     prep, algo = _technique(args)
     m = _epicurves(args)
     points = apply_preprocess(m, prep).values
-    assignment = _cluster_window(points, algo, args.k, *_solver_configs(args))
+    assignment = _cluster_windows([points], algo, args.k, *_solver_configs(args))[0]
     args.out.mkdir(parents=True, exist_ok=True)
     labels_path = args.out / "labels.csv"
     _write_table(labels_path, ["region", "label"], m.region_names, assignment.labels[:, None])

@@ -61,7 +61,9 @@ KMEANS_GROUP_BYTES = 4 * 2**20
 # stability study (4 windows per technique; 2 vCPU, OpenBLAS) took a median
 # 89.0 ms with no joining, 73.0 at 256 KiB, 67.5 at 512 KiB and 67.2 at
 # 1 and 4 MiB; at 4 MiB the 1000-region windows join too, for 1.4 MiB more
-# peak RSS and no gain.
+# peak RSS (3% of that study's peak) and no gain. That 1.4 MiB is the only
+# reason for this second budget: packing every (window, restart) pair by
+# KMEANS_GROUP_BYTES alone would be as fast.
 KMEANS_JOIN_BYTES = 512 * 2**10
 # Size of the (restarts, rows, d) difference blocks _sq_dists squares at once:
 # as many rows for every restart (or affinity row) as fit, or when one row for
@@ -647,6 +649,18 @@ def _spectral_embedding(w, k: int, cfg: SpectralConfig) -> tuple[np.ndarray, int
     return eigenvectors[:, :k].copy(), eigengap_suggest_k(eigenvalues, k_max=min(n - 1, 8))
 
 
+def _spectral_from_affinities(
+    affinities, k: int, cfg: SpectralConfig, kmeans_cfg: KMeansConfig
+) -> list[ClusterAssignment]:
+    """``spectral_from_affinity`` of each matrix of the iterable
+    ``affinities``, which share one shape: each one's embedding and eigengap
+    first, taken one matrix at a time, then one ``_kmeans_windows`` over the
+    embeddings."""
+    spectra = [_spectral_embedding(w, k, cfg) for w in affinities]
+    found = _kmeans_windows([embedding for embedding, _ in spectra], k, kmeans_cfg)
+    return [replace(km, suggested_k=suggested) for km, (_, suggested) in zip(found, spectra)]
+
+
 def spectral_from_affinity(
     w, k: int, cfg: SpectralConfig = SpectralConfig(), kmeans_cfg: KMeansConfig = KMeansConfig()
 ) -> ClusterAssignment:
@@ -654,10 +668,10 @@ def spectral_from_affinity(
 
     Laplacian -> ascending eigendecomposition (``numpy.linalg.eigh``) -> rows
     of the first k eigenvector columns -> k-means. The eigengap suggestion is
-    attached as metadata; the given k stays authoritative.
+    attached as metadata; the given k stays authoritative. This is
+    ``_spectral_from_affinities`` with one matrix.
     """
-    embedding, suggested = _spectral_embedding(w, k, cfg)
-    return replace(kmeans(embedding, k, kmeans_cfg), suggested_k=suggested)
+    return _spectral_from_affinities([w], k, cfg, kmeans_cfg)[0]
 
 
 def spectral_cluster(
@@ -665,17 +679,6 @@ def spectral_cluster(
 ) -> ClusterAssignment:
     """Full spectral pipeline on raw observation vectors."""
     return spectral_from_affinity(rbf_affinity(points, cfg.sigma), k, cfg, kmeans_cfg)
-
-
-def _spectral_windows(
-    windows, k: int, cfg: SpectralConfig, kmeans_cfg: KMeansConfig
-) -> list[ClusterAssignment]:
-    """``spectral_cluster`` of each of the point sets ``windows``, which share
-    one shape: each window's embedding and eigengap first, then one
-    ``_kmeans_windows`` over the embeddings."""
-    spectra = [_spectral_embedding(rbf_affinity(points, cfg.sigma), k, cfg) for points in windows]
-    found = _kmeans_windows([embedding for embedding, _ in spectra], k, kmeans_cfg)
-    return [replace(km, suggested_k=suggested) for km, (_, suggested) in zip(found, spectra)]
 
 
 def _leftmost_splits(prev, sums, weights, rows, lo, hi):

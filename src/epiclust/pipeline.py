@@ -31,10 +31,9 @@ from .cluster import (
     KMeansConfig,
     SpectralConfig,
     _kmeans_windows,
-    _spectral_windows,
+    _spectral_from_affinities,
     cluster_scalar_feature,
-    kmeans,
-    spectral_cluster,
+    rbf_affinity,
 )
 from .ingest import EpicurveMatrix, FeatureTable, split_windows
 from .preprocess import PREPROCESS_KINDS, apply_preprocess
@@ -94,28 +93,17 @@ class AssociationReport:
         return self.cells[self.feature_names.index(feature) * self.window_count + window]
 
 
-def _unknown_algorithm(algo) -> ValueError:
-    return ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-
-
-def _cluster_window(points, algo, k, kmeans_cfg, spectral_cfg) -> ClusterAssignment:
-    """One point set, by the public ``kmeans`` or ``spectral_cluster``."""
-    if algo == "kmeans":
-        return kmeans(points, k, kmeans_cfg)
-    if algo == "spectral":
-        return spectral_cluster(points, k, spectral_cfg, kmeans_cfg)
-    raise _unknown_algorithm(algo)
-
-
 def _cluster_windows(windows, algo, k, kmeans_cfg, spectral_cfg) -> list[ClusterAssignment]:
     """Every window, with one lockstep k-means over all of them: on the day
     vectors for ``kmeans``, on the spectral embeddings for ``spectral``. Each
-    result equals ``_cluster_window`` of its window bit for bit."""
+    result equals ``kmeans`` or ``spectral_cluster`` of its window alone, bit
+    for bit."""
     if algo == "kmeans":
         return _kmeans_windows(windows, k, kmeans_cfg)
     if algo == "spectral":
-        return _spectral_windows(windows, k, spectral_cfg, kmeans_cfg)
-    raise _unknown_algorithm(algo)
+        affinities = (rbf_affinity(points, spectral_cfg.sigma) for points in windows)
+        return _spectral_from_affinities(affinities, k, spectral_cfg, kmeans_cfg)
+    raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
 def _window_assignments(
@@ -128,15 +116,6 @@ def _window_assignments(
     else:
         windows = [apply_preprocess(w, prep) for w in split_windows(m, window_len)]
     return _cluster_windows([w.values for w in windows], algo, k, kmeans_cfg, spectral_cfg)
-
-
-def _in_order(names, known, what) -> list[str]:
-    """``names`` in the order of ``known``; a name not in ``known`` raises."""
-    names = list(names)
-    for name in names:
-        if name not in known:
-            raise ValueError(f"unknown {what} {name!r}; expected one of {known}")
-    return sorted(names, key=known.index)
 
 
 def temporal_stability(
@@ -169,8 +148,9 @@ def temporal_stability(
             "cross-window comparison needs at least 2"
         )
     results = []
-    for prep in _in_order(preps, PREPROCESS_KINDS, "preprocessing kind"):
-        for algo in _in_order(algos, ALGORITHMS, "algorithm"):
+    algos = sorted(algos, key=ALGORITHMS.index)
+    for prep in sorted(preps, key=PREPROCESS_KINDS.index):
+        for algo in algos:
             assignments = _window_assignments(
                 m, prep, algo, k, kmeans_cfg, spectral_cfg, window_len, prep_scope
             )

@@ -473,7 +473,7 @@ def test_population_prep_without_populations_exits_2(
     def no_clustering(*args):
         raise AssertionError("clustered before the --prep check")
 
-    monkeypatch.setattr("epiclust.cli._cluster_window", no_clustering)
+    monkeypatch.setattr("epiclust.cli._cluster_windows", no_clustering)
     monkeypatch.setattr("epiclust.pipeline._cluster_windows", no_clustering)
     out = tmp_path / "out"
     features = ["--features", fixture_dir / "features.csv"] if command == "associate" else []

@@ -26,7 +26,7 @@ from epiclust.cluster import (
     _lloyd_group,
     _plusplus_seeds,
     _spectral_embedding,
-    _spectral_windows,
+    _spectral_from_affinities,
     _sq_dists,
     _weighted_draws,
     check_symmetric,
@@ -777,7 +777,8 @@ def test_batched_spectral_embeddings_equal_kmeans_alone_and_the_reference(monkey
     embeddings = [_spectral_embedding(rbf_affinity(points), 3, spectral_cfg)[0] for points in windows]
     assert embeddings[0].shape == (30, 3)
     assert_windows_match(monkeypatch, embeddings, 3, cfg)
-    for batched, points in zip(_spectral_windows(windows, 3, spectral_cfg, cfg), windows):
+    affinities = (rbf_affinity(points) for points in windows)
+    for batched, points in zip(_spectral_from_affinities(affinities, 3, spectral_cfg, cfg), windows):
         one = spectral_cluster(points, 3, spectral_cfg, cfg)
         assert_same_as_reference(batched, one)
         assert batched.suggested_k == one.suggested_k
@@ -803,15 +804,43 @@ def test_batched_windows_re_seed_and_re_score_as_alone(monkeypatch):
         assert_windows_match(monkeypatch, batch, 3, cfg)
 
 
-def test_batched_windows_screen_each_window_by_its_own_norms(monkeypatch):
-    # a small window first, then windows near 1e7 whose near-ties the Gram
-    # form misorders: a band or a seeding slack sized by the first window's
-    # norms would settle those rows or keep those draws
-    rng = np.random.default_rng(12)
-    for _ in range(3):
-        windows = [rng.standard_normal((40, 3))]
-        windows += [ORACLE_FAMILIES["offset_1e7_unit_steps"](rng, 40, 3) for _ in range(5)]
-        assert_windows_match(monkeypatch, windows, 3, KMeansConfig(restarts=3, seed=int(rng.integers(1000))))
+def _two_scale_windows(big):
+    """A unit-scale window, then ``big``, with their squared row norms and largest row norms."""
+    windows = [np.linspace(-1.0, 1.0, big.size).reshape(big.shape), big]
+    sq_norms = np.stack([(w * w).sum(axis=1) for w in windows])
+    return windows, sq_norms, np.sqrt(sq_norms.max(axis=1))
+
+
+def test_screen_band_is_sized_by_each_windows_own_rows():
+    # (1e7, 1) is nearer to (0, 0.16015625) than to (0, 0.15234375), but the
+    # Gram form puts the second one closer by 1/64. The centroids are small,
+    # so only the row norm of the pair's own window, not of the unit-scale
+    # window before it, widens the band enough to send the row to re-scoring
+    windows, sq_norms, x_norms = _two_scale_windows(np.array([[1e7, 1.0]]))
+    centroids = np.array([[[0.0, 0.16015625], [0.0, 0.15234375]]] * 2)
+    big, near = windows[1], centroids[1]
+    gram = (big**2).sum(1)[:, None] - 2.0 * big @ near.T + (near**2).sum(1)
+    assert gram[0].argmin() == 1  # the case the screen exists for
+    assert _reference_assign(big, near)[0].tolist() == [0]
+    runs = [(0, slice(0, 1)), (1, slice(1, 2))]
+    labels, totals = _assign(windows, sq_norms, x_norms, centroids, runs)
+    assert labels.tolist() == [[0], [0]]
+    assert totals[1] == _sq_dists(big, near[:1])[0, 0]
+
+
+def test_seeding_slack_is_sized_by_each_windows_own_rows():
+    # rows near 1e7 a unit apart: their Gram-form k-means++ weights carry
+    # rounding of the order of the weights themselves. Sized by the unit-scale
+    # window before them, the slack would certify draws from those weights
+    rng = np.random.default_rng(14)
+    windows, sq_norms, x_norms = _two_scale_windows(1e7 + rng.standard_normal((40, 2)))
+    restarts = range(20)
+    pairs = [(w, r) for w in range(2) for r in restarts]
+    wins = np.array([w for w, _ in pairs])
+    rngs = [np.random.default_rng([3, r]) for _, r in pairs]
+    seeds = _plusplus_seeds(windows, 4, rngs, sq_norms, x_norms, wins)
+    for (w, r), got in zip(pairs, seeds):
+        assert got.tobytes() == _plusplus_init(windows[w], 4, np.random.default_rng([3, r])).tobytes()
 
 
 def test_windows_sharing_a_final_state_keep_their_own_inertia():
