@@ -15,8 +15,8 @@ labelings, so a relabeling's cost is a sum of k entries of one k x k cost
 matrix M, in exact integer arithmetic. The search is an exact subset DP over
 the columns of M (Held-Karp style, O(2^k k^2) per table, limited to
 k <= 12); ties go to the lexicographically smallest relabeling. The Monte
-Carlo null draws every trial's labeling of a cell from one RNG stream,
-stacks their tables and runs the same DP on all of them at once.
+Carlo null (all trials of a cell) and the stability study (all window pairs
+of a technique) stack their tables and run one DP on all of them at once.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 MAX_ALIGN_K = 12  # the subset DP holds 2**k partial costs per table
 METRICS = ("squared", "mismatch")
+BASELINE_MODES = ("uniform", "shuffle")
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,15 @@ class BaselineResult:
     deviation: float
 
 
-def _check_align_k(k):
-    """Raise unless the alignment search can serve k clusters."""
+def _check_align(k, metric):
+    """Raise unless the alignment search can serve k clusters under ``metric``."""
     if k > MAX_ALIGN_K:
         raise ValueError(
             f"k={k} is unsupported: the alignment search holds 2**k partial "
             f"costs and is limited to k <= {MAX_ALIGN_K}"
         )
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
 def _check_labels(a, b, k, metric):
@@ -88,9 +91,7 @@ def _check_labels(a, b, k, metric):
     for name, arr in (("b", b), ("a", a)):  # b first: random_baseline passes its b as both
         if arr.min() < 0 or arr.max() >= k:
             raise ValueError(f"labels of {name} must lie in [0, {k})")
-    _check_align_k(k)
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    _check_align(k, metric)
     return a, b
 
 
@@ -115,6 +116,14 @@ def _levels(k):
     return tuple(levels)
 
 
+def _tables(a, b, k):
+    """C[t, i, j]: how many regions row t of the (rows, n) ``a`` labels i and row t
+    of ``b`` (broadcast to it) labels j; in one bincount row t owns cells t*k*k ..."""
+    rows = len(a)
+    cells = a * k + b + (np.arange(rows) * k * k)[:, None]
+    return np.bincount(cells.reshape(-1), minlength=rows * k * k).reshape(rows, k, k)
+
+
 def _cost_matrices(tables, metric):
     """M[t, i, l]: summed cost of sending label i of ``a`` to l, from table C[t, i, j]."""
     if metric == "squared":
@@ -132,6 +141,11 @@ def _cost_to_go(costs):
     return h
 
 
+def _least_costs(a, b, k, metric):
+    """The least cost of relabeling each row of ``a`` onto its row of ``b``, in one DP."""
+    return _cost_to_go(_cost_matrices(_tables(a, b, k), metric))[:, 0] / a.shape[-1]
+
+
 def best_permutation_dissimilarity(a, b, k: int, metric: str = "squared") -> AlignmentResult:
     """Minimum dissimilarity between labelings over all k! relabelings of ``a``.
 
@@ -140,7 +154,7 @@ def best_permutation_dissimilarity(a, b, k: int, metric: str = "squared") -> Ali
     smallest permutation.
     """
     a, b = _check_labels(a, b, k, metric)
-    table = np.bincount(a * k + b, minlength=k * k).reshape(1, k, k)
+    table = _tables(a[None], b[None], k)
     costs = _cost_matrices(table, metric)
     h = _cost_to_go(costs)[0].tolist()
     # rebuild row by row, taking the smallest column that keeps the optimum
@@ -189,14 +203,10 @@ def random_baseline(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if mode not in ("uniform", "shuffle"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'uniform' or 'shuffle'")
+    if mode not in BASELINE_MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {BASELINE_MODES}")
     b, _ = _check_labels(b, b, k, metric)
-    drawn = _null_labelings(b, k, trials, seed, mode)
-    # one bincount fills every trial's k x k table: trial t owns cells t*k*k ..
-    cells = drawn * k + b + (np.arange(trials) * k * k)[:, None]
-    tables = np.bincount(cells.reshape(-1), minlength=trials * k * k).reshape(trials, k, k)
-    costs = _cost_to_go(_cost_matrices(tables, metric))[:, 0] / b.size
+    costs = _least_costs(_null_labelings(b, k, trials, seed, mode), b, k, metric)
     mean = float(costs.mean())
     return BaselineResult(
         sm1=float(sm1),

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .align import METRICS, balance_check
+from .align import BASELINE_MODES, METRICS, balance_check
 from .cluster import ALGORITHMS, LAPLACIAN_KINDS, KMeansConfig, SpectralConfig, _check_k
 from .ingest import IngestError, _write_table, load_epicurves, load_features
 from .pipeline import (
@@ -366,7 +366,7 @@ def _add_study_flags(p, command):
             default=",".join(PREPROCESS_KINDS) if many else "none",
             help=f"preprocessing, {listed} {', '.join(PREPROCESS_KINDS)}")
     setting(schema, "--algo", type=_names(ALGORITHMS),
-            default="spectral,kmeans" if many else "spectral",
+            default=",".join(ALGORITHMS) if many else "spectral",
             help=f"clustering algorithm, {listed} {', '.join(ALGORITHMS)}")
     setting(schema, "--k", type=int, default=3, help="number of clusters")
     setting(schema, "--seed", type=_seed, default=km.seed, help="master RNG seed")
@@ -380,7 +380,7 @@ def _add_study_flags(p, command):
         p.add_argument("--heatmap", action="store_true", help="also emit SVG heatmaps")
     if associate:
         setting(schema, "--trials", type=_count, default=100, help="Monte Carlo trials")
-        setting(schema, "--baseline-mode", choices=("uniform", "shuffle"), default="uniform",
+        setting(schema, "--baseline-mode", choices=BASELINE_MODES, default="uniform",
                 help="random-label generation for the null")
     setting(schema, "--out", type=Path, default=".", help="output directory")
     setting(schema["kmeans"], "--epsilon", type=_positive, default=km.epsilon,

@@ -22,20 +22,18 @@ so results do not depend on evaluation order: run in lockstep, each restart
 makes the same draws and reaches the same partition as when run alone. The
 studies cluster all windows of a technique in one ``_kmeans_windows`` call
 (for spectral, on the windows' embeddings), whose lockstep unit is a
-(window, restart) pair, with one BLAS product per window and step. Windows
-whose restarts all fit in ``KMEANS_JOIN_BYTES`` share a group; a larger
-window runs alone, its restarts in groups that fit in ``KMEANS_GROUP_BYTES``.
-So each window's result equals ``kmeans`` of it alone, which is the
-one-window case. k-means++ seeding takes each restart's weights in the Gram
-form, one BLAS product per center index, and keeps a draw only where the
-rounding bound certifies that the difference-form weights give the same
-index; any other restart draws from its difference-form row with the same
-random number. The exact (difference-form) inertia is taken once per
+(window, restart) pair, so each window's result equals ``kmeans`` of it
+alone, the one-window case. k-means++ seeding takes each restart's weights
+in the Gram form, one BLAS product per center index, and keeps a draw only
+where the rounding bound certifies that the difference-form weights give the
+same index; any other restart draws from its difference-form row with the
+same random number. The exact (difference-form) inertia is taken once per
 distinct final state. Every difference-form distance, in k-means and in
 ``rbf_affinity``, comes from ``_sq_dists``: (restarts, rows, d) blocks of
 bounded size, each distance one sum over its row's d contiguous values, so
-it equals the one-centroid value bit for bit. Only ``inertia_history`` entries before the last (Gram-form
-totals) may differ in their last bits, as they may between BLAS builds.
+it equals the one-centroid value bit for bit. Only ``inertia_history``
+entries before the last (Gram-form totals) may differ in their last bits,
+as they may between BLAS builds.
 """
 
 from __future__ import annotations
@@ -57,13 +55,12 @@ KMEANS_GROUP_BYTES = 4 * 2**20
 # all their restarts fit in this many bytes at the estimate above, so small
 # windows pay the per-step Python work once per group; a window whose
 # restarts do not fit is grouped alone, by KMEANS_GROUP_BYTES. Ten restarts
-# take 97 KB on a 30 x 30 window and 1.18 MB on a 1000 x 30 one. A 30-region
-# stability study (4 windows per technique; 2 vCPU, OpenBLAS) took a median
-# 89.0 ms with no joining, 73.0 at 256 KiB, 67.5 at 512 KiB and 67.2 at
-# 1 and 4 MiB; at 4 MiB the 1000-region windows join too, for 1.4 MiB more
-# peak RSS (3% of that study's peak) and no gain. That 1.4 MiB is the only
-# reason for this second budget: packing every (window, restart) pair by
-# KMEANS_GROUP_BYTES alone would be as fast.
+# take 97 KB on a 30 x 30 window and 1.18 MB on a 1000 x 30 one. Joining cut
+# a 30-region stability study from 89.0 to 67.5 ms (2 vCPU, OpenBLAS). One
+# budget for both rules loses a workload (perfbench, 6 alternating 5 s pairs
+# each): 4 MiB joins the 1000-region windows, stability_kmeans_n1000 peak RSS
+# 41.99 -> 44.03 MiB (+4.8%, 6/6 pairs); 1.25 MiB slows county_cluster
+# 0.113 -> 0.127 s (+12%); 2 MiB slows it 5.6% and adds 0.3 MiB to the former.
 KMEANS_JOIN_BYTES = 512 * 2**10
 # Size of the (restarts, rows, d) difference blocks _sq_dists squares at once:
 # as many rows for every restart (or affinity row) as fit, or when one row for
@@ -534,16 +531,11 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignm
 
     Deterministic for a given seed; the winning restart is the one with the
     lowest final inertia (first such on ties). Restart r draws its own RNG
-    stream from (seed, r). The restarts run in lockstep, in groups that fit
-    in ``KMEANS_GROUP_BYTES``, yet each follows the trajectory it would
-    follow alone. Each Lloyd step scores the rows against every live
-    restart's centroids with one matrix product (the Gram form
-    |x|^2 - 2 x.c + |c|^2) and re-scores in the difference form
-    sum((x - c)^2) every row whose two nearest centroids lie within the
-    rounding bound of each other; k-means++ seeding uses the Gram form in the
-    same way (see ``_GRAM_SLACK``). Labels, centroids and the final inertia
-    therefore equal those of the difference form bit for bit, exact ties
-    going to the first centroid. Entries of ``inertia_history`` before the
+    stream from (seed, r). The restarts run in lockstep, each scored in the
+    Gram form |x|^2 - 2 x.c + |c|^2 and re-scored in the difference form
+    where the rounding bound cannot settle a row (see ``_GRAM_SLACK``), so
+    labels, centroids and the final inertia equal those of the difference
+    form bit for bit, exact ties going to the first centroid. Entries of ``inertia_history`` before the
     last may carry Gram-form rounding; the last is the exact ``inertia``.
     Non-finite points raise ``ValueError``. This is ``_kmeans_windows`` with
     one window.
@@ -587,7 +579,8 @@ def check_symmetric(a, tol: float = 1e-12) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    gap = float(np.abs(a - a.T).max(initial=0.0))
+    gap = a - a.T
+    gap = float(np.abs(gap, out=gap).max(initial=0.0))
     if gap > tol * scale:
         raise ValueError(f"matrix is not symmetric: max |a - a.T| = {gap:.3e}")
     return a
@@ -599,7 +592,8 @@ def laplacian(w, kind: str = "unnormalized") -> np.ndarray:
     ``unnormalized`` is D - W; ``symmetric_normalized`` is
     I - D^(-1/2) W D^(-1/2) with isolated vertices (degree 0) given a zero
     diagonal so that each still contributes a zero eigenvalue, i.e. counts
-    as its own connected component.
+    as its own connected component. An asymmetry of ``w`` within tolerance
+    stays in the result, of which ``numpy.linalg.eigh`` reads one triangle.
     """
     w = check_symmetric(w)
     if (w < 0).any():
@@ -610,14 +604,17 @@ def laplacian(w, kind: str = "unnormalized") -> np.ndarray:
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"unknown laplacian kind {kind!r}; expected one of {LAPLACIAN_KINDS}")
     deg = w.sum(axis=1)
+    # one n x n array: 0.0 - w keeps a zero affinity +0.0, where -w gives -0.0
     if kind == "unnormalized":
-        lap = np.diag(deg) - w
+        lap = 0.0 - w
+        np.fill_diagonal(lap, deg)
     else:
         with np.errstate(divide="ignore"):
             inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-        lap = -w * np.outer(inv_sqrt, inv_sqrt)
+        lap = np.outer(-inv_sqrt, inv_sqrt)  # -(a b) w == -(w a b) bit for bit
+        lap *= w
         np.fill_diagonal(lap, np.where(deg > 0, 1.0, 0.0))
-    return (lap + lap.T) / 2.0
+    return lap
 
 
 def eigengap_suggest_k(eigenvalues, k_max: int) -> int:

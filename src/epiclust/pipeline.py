@@ -2,9 +2,9 @@
 
 ``temporal_stability`` runs every (preprocessing, algorithm) pair over the
 fixed windows of the series and records the pairwise alignment cost of the
-window clusterings. ``select_technique`` picks the pair whose clusters are
-the most stable in time, skipping any pair that produced a degenerate
-(single-dominant-cluster) window. ``feature_association`` then scores every
+window clusterings. ``select_technique`` picks, among the pairs with the
+fewest degenerate (single-dominant-cluster) windows, the one whose clusters
+are the most stable in time. ``feature_association`` then scores every
 scalar feature against the per-window epidemic clusters of the chosen
 technique, with a seeded Monte Carlo random-label null per cell.
 """
@@ -20,7 +20,8 @@ from .align import (
     AlignmentResult,
     BalanceDiagnostic,
     BaselineResult,
-    _check_align_k,
+    _check_align,
+    _least_costs,
     balance_check,
     best_permutation_dissimilarity,
     random_baseline,
@@ -106,16 +107,20 @@ def _cluster_windows(windows, algo, k, kmeans_cfg, spectral_cfg) -> list[Cluster
     raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
-def _window_assignments(
-    m, prep, algo, k, kmeans_cfg, spectral_cfg, window_len, prep_scope
-) -> list[ClusterAssignment]:
+def _in_order(names, known, kind):
+    """``names`` in the order of ``known``; an unknown name raises, naming ``known``."""
+    if unknown := [name for name in names if name not in known]:
+        raise ValueError(f"unknown {kind} {unknown[0]!r}; expected one of {known}")
+    return sorted(names, key=known.index)
+
+
+def _prepared_windows(m, prep, window_len, prep_scope) -> list[np.ndarray]:
+    """The windows' value arrays, preprocessed per window or over the full series."""
     if prep_scope not in PREP_SCOPES:
         raise ValueError(f"unknown prep scope {prep_scope!r}; expected one of {PREP_SCOPES}")
     if prep_scope == "full_series":
-        windows = split_windows(apply_preprocess(m, prep), window_len)
-    else:
-        windows = [apply_preprocess(w, prep) for w in split_windows(m, window_len)]
-    return _cluster_windows([w.values for w in windows], algo, k, kmeans_cfg, spectral_cfg)
+        return [w.values for w in split_windows(apply_preprocess(m, prep), window_len)]
+    return [apply_preprocess(w, prep).values for w in split_windows(m, window_len)]
 
 
 def temporal_stability(
@@ -133,63 +138,51 @@ def temporal_stability(
 ) -> list[StabilityMatrix]:
     """Pairwise cross-window dissimilarity for every (prep, algo) combination.
 
-    Each window is preprocessed (per window by default), its regions are
-    clustered on their in-window day vectors, and every window pair (i < j)
-    is aligned; the cost fills both (i, j) and (j, i), so the matrix is
-    symmetric with a zero diagonal. Balance diagnostics are attached per
-    window. The results come in the fixed order of ``PREPROCESS_KINDS`` and
-    ``ALGORITHMS``, whatever the order of ``preps`` and ``algos``, so the
-    selection and the reports do not depend on it.
+    Each window is preprocessed (per window by default) and its regions are
+    clustered on their in-window day vectors; all window pairs (i < j) are
+    aligned in one batch, each cost filling (i, j) and (j, i). Balance
+    diagnostics are attached per window. Results come in the order of
+    ``PREPROCESS_KINDS`` and ``ALGORITHMS``, whatever the order of ``preps``
+    and ``algos``, so the selection and the reports do not depend on it.
     """
-    _check_align_k(k)  # before any window is clustered
+    _check_align(k, metric)  # before any window is clustered
+    preps = _in_order(preps, PREPROCESS_KINDS, "preprocessing kind")
+    algos = _in_order(algos, ALGORITHMS, "algorithm")
     if m.n_days < 2 * window_len:
         raise ValueError(
             f"{m.n_days} days yield fewer than 2 windows of {window_len}; "
             "cross-window comparison needs at least 2"
         )
     results = []
-    algos = sorted(algos, key=ALGORITHMS.index)
-    for prep in sorted(preps, key=PREPROCESS_KINDS.index):
+    for prep in preps:
+        windows = _prepared_windows(m, prep, window_len, prep_scope)
         for algo in algos:
-            assignments = _window_assignments(
-                m, prep, algo, k, kmeans_cfg, spectral_cfg, window_len, prep_scope
-            )
-            count = len(assignments)
-            costs = np.zeros((count, count))
-            for i in range(count):
-                for j in range(i + 1, count):
-                    cost = best_permutation_dissimilarity(
-                        assignments[i].labels, assignments[j].labels, k, metric
-                    ).cost
-                    costs[i, j] = costs[j, i] = cost
+            assignments = _cluster_windows(windows, algo, k, kmeans_cfg, spectral_cfg)
+            labels = np.stack([a.labels for a in assignments])
+            i, j = np.triu_indices(len(labels), k=1)
+            costs = np.zeros((len(labels), len(labels)))
+            costs[i, j] = costs[j, i] = _least_costs(labels[i], labels[j], k, metric)
             balance = tuple(balance_check(a, balance_threshold) for a in assignments)
             results.append(StabilityMatrix(prep, algo, costs, balance))
+        del windows  # before the next prep's: holding both raised peak RSS by 1 MiB at n=1000
     return results
 
 
 def select_technique(results) -> tuple[str, str]:
-    """The (prep, algo) pair with the most time-stable, non-degenerate clusters.
-
-    Pairs with any degenerate window are excluded; among the rest the lowest
-    mean off-diagonal cost wins, first-listed on ties (``temporal_stability``
-    lists them in a fixed order). If every pair is degenerate somewhere, the
-    least-degenerate one is returned under a warning.
+    """The (prep, algo) pair with the fewest degenerate windows, then the
+    lowest mean off-diagonal cost, first-listed on ties
+    (``temporal_stability`` lists them in a fixed order). A winner with a
+    degenerate window is returned under a warning.
     """
     results = list(results)
     if not results:
         raise ValueError("no stability results to select from")
-    clean = [(i, r) for i, r in enumerate(results) if r.degenerate_windows == 0]
-    if clean:
-        _, best = min(clean, key=lambda item: (item[1].mean_offdiag, item[0]))
-    else:
+    best = min(results, key=lambda r: (r.degenerate_windows, r.mean_offdiag))
+    if best.degenerate_windows:
         warnings.warn(
             "every technique produced at least one degenerate window; "
             "returning the least-degenerate one",
             stacklevel=2,
-        )
-        _, best = min(
-            enumerate(results),
-            key=lambda item: (item[1].degenerate_windows, item[1].mean_offdiag, item[0]),
         )
     return best.prep, best.algorithm
 
@@ -222,16 +215,15 @@ def feature_association(
     cell), so deviation = SM2 - SM1 measures how far above chance the
     agreement is.
     """
-    _check_align_k(k)  # before any window is clustered
+    _check_align(k, metric)  # before any window is clustered
     if f.region_names != m.region_names:
         raise ValueError(
             "feature table regions are not aligned with the epicurve matrix; "
             "load them via load_features"
         )
     prep, algo = chosen
-    epidemic = _window_assignments(
-        m, prep, algo, k, kmeans_cfg, spectral_cfg, window_len, prep_scope
-    )
+    windows = _prepared_windows(m, prep, window_len, prep_scope)
+    epidemic = _cluster_windows(windows, algo, k, kmeans_cfg, spectral_cfg)
     scalar = [
         cluster_scalar_feature(f.values[:, i], k) for i in range(len(f.feature_names))
     ]

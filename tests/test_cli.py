@@ -503,6 +503,14 @@ def test_help_exits_0(capsys, command):
     assert capsys.readouterr().out.startswith(f"usage: epiclust {command}")
 
 
+# the keywords each study flag feeds, all compared below
+STUDY_KEYWORDS = ("window_len", "metric", "balance_threshold", "prep_scope")
+FED_KEYWORDS = {
+    "stability": STUDY_KEYWORDS,
+    "associate": STUDY_KEYWORDS + ("trials", "baseline_mode", "seed"),
+}
+
+
 @pytest.mark.parametrize(
     "command, study",
     [("cluster", None), ("stability", temporal_stability), ("associate", feature_association)],
@@ -512,5 +520,7 @@ def test_parser_defaults_mirror_library_defaults(command, study):
     expected = {**asdict(KMeansConfig()), **asdict(SpectralConfig())}
     if study is not None:
         params = inspect.signature(study).parameters.values()
-        expected.update({p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY})
+        defaults = {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+        assert set(FED_KEYWORDS[command]) <= set(defaults)
+        expected.update(defaults)
     assert {key: args[key] for key in expected} == expected

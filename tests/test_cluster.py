@@ -13,6 +13,7 @@ from epiclust.cluster import (
     BLOCK_BYTES,
     KMEANS_GROUP_BYTES,
     KMEANS_JOIN_BYTES,
+    LAPLACIAN_KINDS,
     ClusterAssignment,
     KMeansConfig,
     SpectralConfig,
@@ -973,6 +974,34 @@ def test_laplacian_errors():
         laplacian(np.array([[0.0, -0.5], [-0.5, 0.0]]))
     with pytest.raises(ValueError, match="zero diagonal"):
         laplacian(np.array([[1.0, 0.2], [0.2, 0.0]]))
+
+
+@pytest.mark.parametrize("kind", LAPLACIAN_KINDS)
+def test_laplacian_county_scale_memory_bounded(kind):
+    # the result is the one (n, n) array, 75 MiB at n = 3142: a separate
+    # degree matrix, a -w copy or a symmetrising pass would add another
+    x = np.random.default_rng(0).standard_normal(3142)
+    w = np.subtract.outer(x, x)
+    np.square(w, out=w)
+    np.negative(w, out=w)
+    np.exp(w, out=w)
+    np.fill_diagonal(w, 0.0)
+    assert _traced_peak(laplacian, w, kind) < 100 * 2**20
+
+
+@pytest.mark.parametrize("kind", LAPLACIAN_KINDS)
+def test_affinity_asymmetric_within_tolerance_keeps_the_partition(kind):
+    # laplacian does not symmetrise and eigh reads one triangle, so an
+    # asymmetry check_symmetric accepts must not move the spectral partition
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([rng.normal(c, 0.3, (10, 2)) for c in (0.0, 3.0, 6.0)])
+    w = rbf_affinity(pts, sigma=1.0)
+    skewed = w * (1.0 + 5e-13 * rng.uniform(-1.0, 1.0, w.shape))
+    assert not np.array_equal(skewed, skewed.T)
+    check_symmetric(skewed)
+    cfg = SpectralConfig(laplacian=kind)
+    a, b = (spectral_from_affinity(x, 3, cfg).labels for x in (w, skewed))
+    assert best_permutation_dissimilarity(a, b, 3, "mismatch").cost == 0.0
 
 
 # --- eigensolver contract the spectral path relies on -------------------------

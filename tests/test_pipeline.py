@@ -1,19 +1,24 @@
 """Temporal-stability study, technique selection, and feature association."""
 
 import datetime
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from epiclust.align import BalanceDiagnostic
+from epiclust.align import METRICS, BalanceDiagnostic, best_permutation_dissimilarity
+from epiclust.cluster import ALGORITHMS, ClusterAssignment
 from epiclust.ingest import EpicurveMatrix, FeatureTable, split_windows
-from epiclust.align import best_permutation_dissimilarity
 from epiclust.pipeline import (
+    PREP_SCOPES,
     StabilityMatrix,
+    _prepared_windows,
     feature_association,
     select_technique,
     temporal_stability,
 )
+from epiclust.preprocess import PREPROCESS_KINDS, apply_preprocess
 from epiclust.synth import generate_fixture
 
 D0 = datetime.date(2021, 1, 1)
@@ -99,6 +104,84 @@ def test_stability_matrices_symmetric_zero_diagonal():
         assert len(r.balance) == r.window_count
 
 
+def test_stability_matrix_equals_per_pair_alignment(monkeypatch):
+    # all window pairs of a technique are aligned in one batch: each entry is
+    # the single-pair search of the earlier window onto the later one
+    rng = np.random.default_rng(18)
+    for k in range(1, 9):
+        for metric in METRICS:
+            count, n = int(rng.integers(2, 7)), int(rng.integers(1, 40))
+            labels = rng.integers(0, k, (count, n))
+            found = [ClusterAssignment(row, k, np.zeros((k, 1)), 0.0) for row in labels]
+            monkeypatch.setattr("epiclust.pipeline._cluster_windows", lambda *args: found)
+            m = matrix(np.ones((n, 2 * count)))
+            (r,) = temporal_stability(m, ["none"], ["kmeans"], k, window_len=2, metric=metric)
+            for i in range(count):
+                for j in range(count):
+                    first, last = sorted((i, j))
+                    expected = best_permutation_dissimilarity(
+                        labels[first], labels[last], k, metric
+                    ).cost
+                    assert r.costs[i, j] == (0.0 if i == j else expected)
+
+
+def _no_clustering(*args):
+    raise AssertionError("clustered before the settings were checked")
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"metric": "bogus"}, f"unknown metric 'bogus'; expected one of {METRICS}"),
+        ({"prep_scope": "bogus"}, f"unknown prep scope 'bogus'; expected one of {PREP_SCOPES}"),
+    ],
+)
+def test_unknown_setting_raises_before_clustering(monkeypatch, setting, message):
+    monkeypatch.setattr("epiclust.pipeline._cluster_windows", _no_clustering)
+    fix = generate_fixture(10, 60, 2, seed=1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        temporal_stability(fix.epicurves, ["none"], ["kmeans"], 2, **setting)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        feature_association(fix.epicurves, fix.features, ("none", "kmeans"), 2, **setting)
+
+
+@pytest.mark.parametrize(
+    "preps, algos, kind, known",
+    [
+        (["bogus"], ["kmeans"], "preprocessing kind", PREPROCESS_KINDS),
+        (["none"], ["bogus"], "algorithm", ALGORITHMS),
+    ],
+)
+def test_unknown_technique_named_before_clustering(monkeypatch, preps, algos, kind, known):
+    monkeypatch.setattr("epiclust.pipeline._cluster_windows", _no_clustering)
+    fix = generate_fixture(10, 60, 2, seed=1)
+    message = f"unknown {kind} 'bogus'; expected one of {known}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        temporal_stability(fix.epicurves, preps, algos, 2)
+
+
+def test_full_series_scope_windows_slice_the_whole_series():
+    fix = generate_fixture(25, 120, 3, seed=0)
+    whole = apply_preprocess(fix.epicurves, "zscore").values
+    full = _prepared_windows(fix.epicurves, "zscore", 30, "full_series")
+    per = _prepared_windows(fix.epicurves, "zscore", 30, "per_window")
+    assert len(full) == len(per) == 4
+    for w, (f, p) in enumerate(zip(full, per)):
+        assert np.array_equal(f, whole[:, 30 * w : 30 * (w + 1)])
+        assert not np.allclose(f, p)
+
+
+def test_prep_scope_is_moot_without_preprocessing():
+    fix = generate_fixture(25, 120, 3, seed=0)
+    per, full = (
+        temporal_stability(fix.epicurves, ["none"], ALGORITHMS, 3, prep_scope=scope)
+        for scope in PREP_SCOPES
+    )
+    assert len(per) == len(full) == 2
+    for a, b in zip(per, full):
+        assert np.array_equal(a.costs, b.costs)
+
+
 def test_temporal_stability_needs_two_windows():
     m = matrix(np.ones((4, 40)))
     with pytest.raises(ValueError, match="at least 2"):
@@ -129,6 +212,41 @@ def test_select_all_degenerate_returns_least_degenerate_with_warning():
     least = stability_record("zscore", "kmeans", np.zeros((3, 3)), degenerate_windows=1)
     with pytest.warns(UserWarning, match="least-degenerate"):
         assert select_technique([worse, least]) == ("zscore", "kmeans")
+
+
+def _two_branch_selection(results):
+    """The selection as two branches: the lowest mean cost among techniques
+    with no degenerate window, or else the least-degenerate one, warned."""
+    clean = [(i, r) for i, r in enumerate(results) if r.degenerate_windows == 0]
+    if clean:
+        return min(clean, key=lambda item: (item[1].mean_offdiag, item[0]))[1], False
+    best = min(
+        enumerate(results),
+        key=lambda item: (item[1].degenerate_windows, item[1].mean_offdiag, item[0]),
+    )
+    return best[1], True
+
+
+def test_select_equals_the_two_branch_rule():
+    # few distinct costs and degeneracy counts, so ties are common; every
+    # second list has no clean technique at all
+    rng = np.random.default_rng(17)
+    names = [(p, a) for p in PREPROCESS_KINDS for a in ALGORITHMS]
+    for trial in range(400):
+        picks = rng.choice(len(names), int(rng.integers(1, 7)), replace=False)
+        results = [
+            stability_record(
+                *names[i],
+                int(rng.integers(0, 3)) / 4.0 * (1.0 - np.eye(3)),
+                degenerate_windows=int(rng.integers(trial % 2, 3)),
+            )
+            for i in picks
+        ]
+        best, warned = _two_branch_selection(results)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert select_technique(results) == (best.prep, best.algorithm)
+        assert len(caught) == warned
 
 
 def test_select_empty_errors():
