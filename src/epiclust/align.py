@@ -15,8 +15,9 @@ labelings, so a relabeling's cost is a sum of k entries of one k x k cost
 matrix M, in exact integer arithmetic. The search is an exact subset DP over
 the columns of M (Held-Karp style, O(2^k k^2) per table, limited to
 k <= 12); ties go to the lexicographically smallest relabeling. The Monte
-Carlo null (all trials of a cell) and the stability study (all window pairs
-of a technique) stack their tables and run one DP on all of them at once.
+Carlo null (all trials of a cell), the stability study (all window pairs of
+a technique) and the association's SM1 (all feature x window cells) stack
+their tables, tables last, and run one DP on all of them at once.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ def _check_align(k, metric):
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
+def _check_null(trials, mode):
+    """Raise unless the Monte Carlo null can draw ``trials`` labelings in ``mode``."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if mode not in BASELINE_MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {BASELINE_MODES}")
+
+
 def _check_labels(a, b, k, metric):
     a = np.asarray(a, dtype=np.int64).reshape(-1)
     b = np.asarray(b, dtype=np.int64).reshape(-1)
@@ -117,33 +126,56 @@ def _levels(k):
 
 
 def _tables(a, b, k):
-    """C[t, i, j]: how many regions row t of the (rows, n) ``a`` labels i and row t
-    of ``b`` (broadcast to it) labels j; in one bincount row t owns cells t*k*k ..."""
+    """C[i, j, t]: how many regions row t of the (rows, n) ``a`` labels i and row t
+    of ``b`` (broadcast to it) labels j, tables last; in one bincount."""
     rows = len(a)
-    cells = a * k + b + (np.arange(rows) * k * k)[:, None]
-    return np.bincount(cells.reshape(-1), minlength=rows * k * k).reshape(rows, k, k)
+    cells = (a * k + b) * rows + np.arange(rows)[:, None]
+    return np.bincount(cells.reshape(-1), minlength=k * k * rows).reshape(k, k, rows)
 
 
 def _cost_matrices(tables, metric):
-    """M[t, i, l]: summed cost of sending label i of ``a`` to l, from table C[t, i, j]."""
+    """M[i, l, t]: summed cost of sending label i of ``a`` to l, from table C[i, j, t]."""
     if metric == "squared":
-        return tables @ _squared_distance(tables.shape[-1])
-    return tables.sum(axis=2, keepdims=True) - tables
+        return _squared_distance(tables.shape[0]) @ tables
+    return tables.sum(axis=1, keepdims=True) - tables
 
 
 def _cost_to_go(costs):
-    """h[t, mask]: least summed cost of sending rows popcount(mask) .. k-1 to
-    the columns outside ``mask``, for every (t, mask); h[t, 0] is the optimum."""
-    trials, k, _ = costs.shape
-    h = np.zeros((trials, 1 << k), dtype=np.int64)
+    """h[mask, t]: least summed cost of sending rows popcount(mask) .. k-1 to
+    the columns outside ``mask``, for every (mask, t); h[0, t] is the optimum.
+    Tables lie last, so each level gathers whole rows of ``costs`` and ``h``."""
+    k, _, tables = costs.shape
+    h = np.zeros((1 << k, tables), dtype=np.int64)
     for c, level, free, successors in _levels(k):
-        h[:, level] = (costs[:, c, free] + h[:, successors]).min(axis=2)
+        h[level] = (costs[c][free] + h[successors]).min(axis=1)
     return h
 
 
 def _least_costs(a, b, k, metric):
     """The least cost of relabeling each row of ``a`` onto its row of ``b``, in one DP."""
-    return _cost_to_go(_cost_matrices(_tables(a, b, k), metric))[:, 0] / a.shape[-1]
+    return _cost_to_go(_cost_matrices(_tables(a, b, k), metric))[0] / a.shape[-1]
+
+
+def _alignments(a, b, k, metric) -> list[AlignmentResult]:
+    """``best_permutation_dissimilarity`` of each row of the (rows, n) ``a``
+    onto its row of ``b``, from one table stack and one DP; each permutation
+    and mismatch rate is rebuilt from its own column of h."""
+    tables = _tables(a, b, k)
+    costs = _cost_matrices(tables, metric)
+    h = _cost_to_go(costs)
+    t, cols = np.arange(tables.shape[-1]), np.arange(k)[:, None]
+    mask, perm = np.zeros_like(t), np.empty((k, t.size), dtype=np.intp)
+    # rebuild row by row, taking the smallest column that keeps the optimum
+    for row in range(k):
+        free = (mask >> cols & 1) == 0
+        perm[row] = (free & (costs[row] + h[mask | 1 << cols, t] == h[mask, t])).argmax(axis=0)
+        mask |= 1 << perm[row]
+    agree = tables[cols, perm, t].sum(axis=0)
+    n = a.shape[-1]
+    return [
+        AlignmentResult(cost / n, tuple(p), (n - same) / n)
+        for cost, p, same in zip(h[0].tolist(), perm.T.tolist(), agree.tolist())
+    ]
 
 
 def best_permutation_dissimilarity(a, b, k: int, metric: str = "squared") -> AlignmentResult:
@@ -151,26 +183,10 @@ def best_permutation_dissimilarity(a, b, k: int, metric: str = "squared") -> Ali
 
     Cost is the mean squared label difference (or the mismatch fraction) of
     the relabeled ``a`` against ``b``. Ties go to the lexicographically
-    smallest permutation.
+    smallest permutation. This is ``_alignments`` of one pair.
     """
     a, b = _check_labels(a, b, k, metric)
-    table = _tables(a[None], b[None], k)
-    costs = _cost_matrices(table, metric)
-    h = _cost_to_go(costs)[0].tolist()
-    # rebuild row by row, taking the smallest column that keeps the optimum
-    mask, perm = 0, []
-    for row in costs[0].tolist():
-        col = next(
-            c for c in range(k) if not mask >> c & 1 and row[c] + h[mask | 1 << c] == h[mask]
-        )
-        perm.append(col)
-        mask |= 1 << col
-    agree = sum(row[col] for row, col in zip(table[0].tolist(), perm))
-    return AlignmentResult(
-        cost=h[0] / a.size,
-        permutation=tuple(perm),
-        mismatch_rate=(a.size - agree) / a.size,
-    )
+    return _alignments(a[None], b[None], k, metric)[0]
 
 
 def _null_labelings(b, k, trials, seed, mode):
@@ -201,10 +217,7 @@ def random_baseline(
     the population standard deviation over trials. Pass the observed cost
     as ``sm1`` to get its deviation from the null recorded alongside.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if mode not in BASELINE_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {BASELINE_MODES}")
+    _check_null(trials, mode)
     b, _ = _check_labels(b, b, k, metric)
     costs = _least_costs(_null_labelings(b, k, trials, seed, mode), b, k, metric)
     mean = float(costs.mean())

@@ -16,6 +16,8 @@ frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
   cluster_scalar_feature  exact 1-D k-means: dynamic programming over the
                           sorted distinct values, with no seed and no
                           restarts; cluster 0 holds the smallest values.
+                          ``_scalar_features`` runs it on many columns in
+                          one DP, each column's result that of it alone.
 
 Restart r draws its RNG stream from (seed, r) and follows its own trajectory,
 so results do not depend on evaluation order: run in lockstep, each restart
@@ -721,65 +723,107 @@ def cluster_scalar_feature(values, k: int) -> ClusterAssignment:
     centroids are nan. Non-finite values raise ``ValueError``, as do values
     whose squared deviations overflow.
     """
-    values = _as_points(np.asarray(values, dtype=float).reshape(-1))[:, 0]
-    n = values.size
+    values = np.asarray(values, dtype=float).reshape(-1)
+    return _scalar_features(values[:, None], k)[0]
+
+
+def _ranges(start, stop, step):
+    """The ranges ``arange(start[i], stop[i], step[i])`` laid end to end, and
+    for each entry the i of its range."""
+    counts = np.maximum(-(-(stop - start) // step), 0)
+    owner = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    return owner, start[owner] + (np.arange(owner.size) - first[owner]) * step[owner]
+
+
+def _scalar_features(values, k: int) -> list[ClusterAssignment]:
+    """``cluster_scalar_feature`` of each column of the (n, F) ``values``, bit
+    for bit: each level of the DP scores all columns' rows in one
+    ``_leftmost_splits`` call per pass, each column at its own pass stride.
+    Column f's prefix arrays lie at flat positions f (n + 1) .. f (n + 1) + n."""
+    values = _as_points(values).T
+    features, n = values.shape
     _check_k(k, n)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    # the sorted positions where each distinct value starts
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    m, used = starts.size, min(k, starts.size)
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    # rank[f, p]: which distinct value of column f sorted position p holds
+    rank = np.ones((features, n), dtype=np.intp)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=rank[:, 1:])
+    rank = np.cumsum(rank, axis=1) - 1
+    m = rank[:, -1] + 1
+    used = np.minimum(k, m)
+    base = np.arange(features) * (n + 1)
     # prefix sums over the distinct values, weighted by their counts and
-    # shifted by the median, which keeps them small where most values lie
-    counts = np.diff(starts, append=n)
-    weights, sums = np.zeros((2, m + 1))
-    np.cumsum(counts, out=weights[1:])
+    # shifted by the median, which keeps them small where most values lie;
+    # past a column's m distinct values its counts and shifts are 0
+    counts = np.bincount((rank + n * np.arange(features)[:, None]).ravel(), minlength=features * n)
+    counts = counts.reshape(features, n)
+    shifted = np.zeros((features, n))
+    weights, sums = np.zeros((2, features, n + 1))
+    np.cumsum(counts, axis=1, out=weights[:, 1:])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        shifted = ordered[starts] - ordered[n // 2]
-        np.cumsum(counts * shifted, out=sums[1:])
-        total = (counts * shifted * shifted).sum()
-    if not np.isfinite(total):
-        raise ValueError("the squared deviations of the values overflow")
+        np.put_along_axis(shifted, rank, ordered - ordered[:, n // 2, None], axis=1)
+        np.cumsum(counts * shifted, axis=1, out=sums[:, 1:])
+        total = (counts * shifted * shifted).sum(axis=1)
+    if not np.isfinite(total).all():
+        column = np.argmin(np.isfinite(total))
+        raise ValueError(f"the squared deviations of the values in column {column} overflow")
     # A run of weight W and shifted sum S has SSE (its sum of squares) - S^2 / W,
     # so a partition's SSE is the shifted values' total sum of squares minus
     # the sum of S^2 / W over its runs. The total is the same for every
     # partition: best[i] is the least -sum(S^2 / W) over j runs of the first
     # i distinct values, and the scores never exceed the finite total.
-    best = np.full(m + 1, np.inf)
-    best[1:] = -sums[1:] * (sums[1:] / weights[1:])
+    best = np.full((features, n + 1), np.inf)
+    best[:, 1:] = -sums[:, 1:] * (sums[:, 1:] / weights[:, 1:])
+    best, sums, weights = best.ravel(), sums.ravel(), weights.ravel()
     splits = []
-    for j in range(2, used + 1):
+    for j in range(2, int(used.max(initial=1)) + 1):
         # rows leave one value for each later run; the last level needs m only
-        low, high = (m, m) if j == used else (j, m - used + j)
-        prev, best = best, np.full(m + 1, np.inf)
-        split = np.zeros(m + 1, dtype=np.intp)
-        stride = 1
-        while (high - low + 1) ** 2 > 2 * SCALAR_PASS_SPLITS * stride:
-            stride *= 4
-        rows = np.append(np.arange(low, high, stride), high)
-        lo, hi = np.full(rows.size, j - 1), rows - 1
+        col = np.flatnonzero(used >= j)
+        high = base[col] + m[col] - used[col] + j
+        low = np.where(used[col] == j, high, base[col] + j)
+        prev, best = best, np.full(best.size, np.inf)
+        split = np.arange(best.size)  # a column not at this level keeps its cut
+        stride = np.ones_like(high)
+        while (wide := (high - low + 1) ** 2 > 2 * SCALAR_PASS_SPLITS * stride).any():
+            stride[wide] *= 4
+        owner, rows = _ranges(low, high, stride)
+        rows = np.append(rows, high)
+        lo, hi = base[col][np.append(owner, np.arange(col.size))] + j - 1, rows - 1
         while True:
             best[rows], split[rows] = _leftmost_splits(prev, sums, weights, rows, lo, hi)
-            if stride == 1:
+            more = stride > 1
+            if not more.any():
                 break
-            step, stride = stride, stride // 4
-            rows = np.arange(low, high, stride)
-            rows = rows[(rows - low) % step > 0]
-            below = rows - (rows - low) % step
+            low, high, step = low[more], high[more], stride[more]
+            stride = step // 4
+            owner, rows = _ranges(low, high, stride)
+            off = (rows - low[owner]) % step[owner]
+            owner, rows, off = owner[off > 0], rows[off > 0], off[off > 0]
+            below = rows - off
             lo = split[below]
-            hi = np.minimum(split[np.minimum(below + step, high)], rows - 1)
+            hi = np.minimum(split[np.minimum(below + step[owner], high[owner])], rows - 1)
         splits.append(split)
-    cuts = [m]
+    # mark where each run starts (and each column's end, which no label reads);
+    # a distinct value's label counts the marks up to it
+    marks, cut = np.zeros(best.size, dtype=np.int64), base + m
     for split in reversed(splits):
-        cuts.insert(0, int(split[cuts[0]]))
-    cuts.insert(0, 0)
-    # run c holds the distinct values cuts[c] .. cuts[c + 1] - 1
-    sizes = np.diff(np.append(starts[cuts[:-1]], n))
-    labels = np.empty(n, dtype=np.int64)
-    labels[order] = np.repeat(np.arange(used), sizes)
-    centroids = np.full((k, 1), np.nan)
-    for c in range(used):
-        members = values[labels == c]
-        centroids[c] = members.sum() / members.size
-    dev = values - centroids[labels, 0]
-    return ClusterAssignment(labels, k, centroids, float((dev * dev).sum()))
+        cut = split[cut]
+        marks[cut] = 1
+    runs = np.cumsum(marks.reshape(features, n + 1), axis=1)
+    labels = np.empty((features, n), dtype=np.int64)
+    np.put_along_axis(labels, order, np.take_along_axis(runs, rank, axis=1), axis=1)
+    # centroids are member means, each summed in region order as kmeans sums it
+    sizes = np.bincount((labels + k * np.arange(features)[:, None]).ravel(), minlength=features * k)
+    sizes = sizes.reshape(features, k)
+    grouped = np.take_along_axis(values, np.argsort(labels, axis=1, kind="stable"), axis=1)
+    ends = np.cumsum(sizes, axis=1)
+    centroids = np.full((features, k, 1), np.nan)
+    f, c = np.nonzero(sizes)
+    centroids[f, c, 0] = [
+        np.add.reduce(grouped[i, end - size : end]) / size
+        for i, end, size in zip(f.tolist(), ends[f, c].tolist(), sizes[f, c].tolist())
+    ]
+    dev = values - np.take_along_axis(centroids[:, :, 0], labels, axis=1)
+    inertia = (dev * dev).sum(axis=1).tolist()
+    return [ClusterAssignment(row, k, c, i) for row, c, i in zip(labels, centroids, inertia)]

@@ -20,10 +20,11 @@ from .align import (
     AlignmentResult,
     BalanceDiagnostic,
     BaselineResult,
+    _alignments,
     _check_align,
+    _check_null,
     _least_costs,
     balance_check,
-    best_permutation_dissimilarity,
     random_baseline,
 )
 from .cluster import (
@@ -32,8 +33,8 @@ from .cluster import (
     KMeansConfig,
     SpectralConfig,
     _kmeans_windows,
+    _scalar_features,
     _spectral_from_affinities,
-    cluster_scalar_feature,
     rbf_affinity,
 )
 from .ingest import EpicurveMatrix, FeatureTable, split_windows
@@ -208,14 +209,15 @@ def feature_association(
     Per window the regions are clustered with the chosen technique
     (``kmeans_cfg`` and ``spectral_cfg`` apply here only); per feature the
     regions are clustered on the scalar values by exact 1-D k-means
-    (``cluster_scalar_feature``: no seed, no restarts), label 0 holding the
-    smallest values. SM1 aligns the feature labels against the window's
-    epidemic labels; SM2 repeats the alignment with ``trials`` random
-    labelings in place of the feature (RNG keyed per (seed, window, feature)
-    cell), so deviation = SM2 - SM1 measures how far above chance the
-    agreement is.
+    (``cluster_scalar_feature``, all features in one DP: no seed, no
+    restarts), label 0 holding the smallest values. SM1 aligns the feature
+    labels against the window's epidemic labels, all cells in one batch;
+    SM2 repeats the alignment with ``trials`` random labelings in place of
+    the feature (RNG keyed per (seed, window, feature) cell), so deviation
+    = SM2 - SM1 measures how far above chance the agreement is.
     """
     _check_align(k, metric)  # before any window is clustered
+    _check_null(trials, baseline_mode)
     if f.region_names != m.region_names:
         raise ValueError(
             "feature table regions are not aligned with the epicurve matrix; "
@@ -224,16 +226,18 @@ def feature_association(
     prep, algo = chosen
     windows = _prepared_windows(m, prep, window_len, prep_scope)
     epidemic = _cluster_windows(windows, algo, k, kmeans_cfg, spectral_cfg)
-    scalar = [
-        cluster_scalar_feature(f.values[:, i], k) for i in range(len(f.feature_names))
-    ]
+    scalar = _scalar_features(f.values, k)
+    # every (feature, window) cell, feature-major, aligned in one batch
+    features = np.array([s.labels for s in scalar], dtype=np.int64).reshape(-1, f.values.shape[0])
+    reference = np.array([e.labels for e in epidemic])
+    alignments = _alignments(
+        np.repeat(features, len(epidemic), axis=0), np.tile(reference, (len(scalar), 1)), k, metric
+    )
     cells = []
     for i, feature in enumerate(f.feature_names):
         feature_diag = balance_check(scalar[i], balance_threshold)
         for w, epi in enumerate(epidemic):
-            alignment = best_permutation_dissimilarity(
-                scalar[i].labels, epi.labels, k, metric
-            )
+            alignment = alignments[len(cells)]
             cell_seed = int(np.random.SeedSequence([seed, w, i]).generate_state(1)[0])
             baseline = random_baseline(
                 epi.labels,

@@ -7,6 +7,7 @@ import pytest
 
 from epiclust.align import (
     BaselineResult,
+    _alignments,
     _null_labelings,
     balance_check,
     best_permutation_dissimilarity,
@@ -62,11 +63,13 @@ def test_oracle_equivalence_random_pairs():
 @pytest.mark.parametrize("metric", ["squared", "mismatch"])
 def test_search_matches_oracle_bit_for_bit(metric):
     """Cost, tie-broken permutation and mismatch rate all equal the k! scan,
-    on random, identical and constant labelings (the last two full of ties)."""
+    on random, identical and constant labelings (the last two full of ties),
+    one pair at a time and for stacks of pairs aligned in one DP."""
     rng = np.random.default_rng(41)
-    for k in range(1, 8):
-        for case in range(40 if k < 7 else 8):
-            n = int(rng.integers(1, 13))
+    for k in range(1, 9):
+        stacks = {}  # pairs of one length, aligned together below
+        for case in range({7: 8, 8: 3}.get(k, 40)):
+            n = int(rng.integers(1, 13 if k < 8 else 7))
             a, b = rng.integers(0, k, n), rng.integers(0, k, n)
             if case % 4 == 1:
                 b = a.copy()
@@ -74,10 +77,14 @@ def test_search_matches_oracle_bit_for_bit(metric):
                 a = np.full(n, int(rng.integers(0, k)))
             elif case % 4 == 3:
                 a, b = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+            want = brute_force_alignment(a.tolist(), b.tolist(), k, metric)
             r = best_permutation_dissimilarity(a, b, k, metric)
-            assert (r.cost, r.permutation, r.mismatch_rate) == brute_force_alignment(
-                a.tolist(), b.tolist(), k, metric
-            )
+            assert (r.cost, r.permutation, r.mismatch_rate) == want
+            stacks.setdefault(n, []).append((a, b, want))
+        for pairs in stacks.values():
+            a, b, wants = zip(*pairs)
+            found = _alignments(np.array(a), np.array(b), k, metric)
+            assert [(r.cost, r.permutation, r.mismatch_rate) for r in found] == list(wants)
 
 
 @pytest.mark.parametrize("k", [9, 10, 11, 12])

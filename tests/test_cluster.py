@@ -26,6 +26,7 @@ from epiclust.cluster import (
     _leftmost_splits,
     _lloyd_group,
     _plusplus_seeds,
+    _scalar_features,
     _spectral_embedding,
     _spectral_from_affinities,
     _sq_dists,
@@ -1189,6 +1190,64 @@ def test_scalar_feature_passes_agree_with_one_full_pass(monkeypatch):
             assert got.inertia == want.inertia
 
 
+# columns with ties, with few distinct values and with a long right tail
+FEATURE_COLUMNS = {
+    **SCALAR_FAMILIES,
+    "log_normal": lambda rng, n: rng.lognormal(0.0, 1.5, n),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1, 64])
+def test_scalar_features_equal_each_column_alone(monkeypatch, budget):
+    # one DP over all columns, each at its own pass stride, gives every
+    # column's labels, centroid bytes and inertia of clustering it alone; a
+    # small budget makes the columns take different numbers of passes
+    if budget is not None:
+        monkeypatch.setattr("epiclust.cluster.SCALAR_PASS_SPLITS", budget)
+    rng = np.random.default_rng(19 if budget is None else budget)
+    families = sorted(FEATURE_COLUMNS)
+    for n in (1, 2, 9, 60, 400, 3142):
+        for k in sorted({1, min(n, 3), min(n, 8)}):
+            count = int(rng.integers(1, 12))
+            picks = rng.integers(len(families), size=count)
+            columns = [FEATURE_COLUMNS[families[pick]](rng, n) for pick in picks]
+            found = _scalar_features(np.stack(columns, axis=1), k)
+            assert len(found) == count
+            for values, got in zip(columns, found):
+                want = cluster_scalar_feature(values, k)
+                assert np.array_equal(got.labels, want.labels)
+                assert got.centroids.tobytes() == want.centroids.tobytes()
+                assert got.inertia == want.inertia
+
+
+def test_scalar_features_keep_each_columns_own_passes(monkeypatch):
+    # two groups up to 1e10 apart: the prefix sums round by more than some
+    # SSE differences, so a split can depend on which passes found it; in a
+    # batch each column takes the passes it takes alone, whatever the other
+    # column's count of distinct values
+    monkeypatch.setattr("epiclust.cluster.SCALAR_PASS_SPLITS", 64)
+    rng = np.random.default_rng(64)
+    for _ in range(50):
+        n, spread = int(rng.integers(10, 400)), int(rng.integers(2, 50))
+        columns = [
+            np.where(rng.random(n) < 0.5, 0.0, 10 ** rng.uniform(6, 10))
+            + (rng.standard_normal(n) * scale).round()
+            for scale in (1, spread)
+        ]
+        k = int(rng.integers(2, 8))
+        for values, got in zip(columns, _scalar_features(np.stack(columns, axis=1), k)):
+            assert np.array_equal(got.labels, cluster_scalar_feature(values, k).labels)
+
+
+def test_scalar_features_name_the_non_finite_cell():
+    values = np.ones((6, 4))
+    values[3, 2] = np.inf
+    with pytest.raises(ValueError, match="point at row 3, column 2 is not finite"):
+        _scalar_features(values, 2)
+    with pytest.raises(ValueError, match="column 1 overflow"):
+        _scalar_features(np.array([[0.0, 1e200], [1.0, -1e200], [2.0, 0.0]]), 2)
+
+
 def test_scalar_feature_sse_is_never_above_kmeans():
     # the same centroid and inertia arithmetic as kmeans: an equal partition
     # gives an equal inertia, bit for bit
@@ -1275,6 +1334,12 @@ def test_scalar_feature_county_scale_memory_bounded():
     # a full (m + 1)^2 matrix of split scores would be 79 MB here
     values = np.random.default_rng(3).uniform(0, 100, 3142)
     assert _traced_peak(cluster_scalar_feature, values, 6) < 64 * values.nbytes
+
+
+def test_scalar_features_county_scale_memory_bounded():
+    # all columns in one DP hold no more than each column alone, summed
+    values = np.random.default_rng(3).uniform(0, 100, (3142, 11))
+    assert _traced_peak(_scalar_features, values, 6) < 11 * 64 * values[:, 0].nbytes
 
 
 def test_scalar_feature_ordered_labels():

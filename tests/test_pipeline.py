@@ -1,14 +1,20 @@
 """Temporal-stability study, technique selection, and feature association."""
 
 import datetime
+import inspect
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-from epiclust.align import METRICS, BalanceDiagnostic, best_permutation_dissimilarity
-from epiclust.cluster import ALGORITHMS, ClusterAssignment
+from epiclust.align import (
+    BASELINE_MODES,
+    METRICS,
+    BalanceDiagnostic,
+    best_permutation_dissimilarity,
+)
+from epiclust.cluster import ALGORITHMS, ClusterAssignment, cluster_scalar_feature
 from epiclust.ingest import EpicurveMatrix, FeatureTable, split_windows
 from epiclust.pipeline import (
     PREP_SCOPES,
@@ -125,6 +131,30 @@ def test_stability_matrix_equals_per_pair_alignment(monkeypatch):
                     assert r.costs[i, j] == (0.0 if i == j else expected)
 
 
+def test_association_cells_equal_per_pair_alignment(monkeypatch):
+    # all (feature, window) cells are aligned in one batch: each cell is the
+    # single-pair search of the feature's labels onto the window's
+    rng = np.random.default_rng(19)
+    for k in range(1, 9):
+        for metric in METRICS:
+            count, n = int(rng.integers(2, 5)), int(rng.integers(k, 40))
+            labels = rng.integers(0, k, (count, n))
+            found = [ClusterAssignment(row, k, np.zeros((k, 1)), 0.0) for row in labels]
+            monkeypatch.setattr("epiclust.pipeline._cluster_windows", lambda *args: found)
+            m = matrix(np.ones((n, 2 * count)))
+            values = rng.integers(0, 5, (n, 3)) * rng.uniform(0.5, 2.0, 3)
+            f = FeatureTable(m.region_names, ("a", "b", "c"), values)
+            report = feature_association(
+                m, f, ("none", "kmeans"), k, window_len=2, metric=metric, trials=1
+            )
+            assert len(report.cells) == 3 * count
+            for i, feature in enumerate(f.feature_names):
+                scalar = cluster_scalar_feature(values[:, i], k).labels
+                for w in range(count):
+                    expected = best_permutation_dissimilarity(scalar, labels[w], k, metric)
+                    assert report.cell(feature, w).alignment == expected
+
+
 def _no_clustering(*args):
     raise AssertionError("clustered before the settings were checked")
 
@@ -134,13 +164,17 @@ def _no_clustering(*args):
     [
         ({"metric": "bogus"}, f"unknown metric 'bogus'; expected one of {METRICS}"),
         ({"prep_scope": "bogus"}, f"unknown prep scope 'bogus'; expected one of {PREP_SCOPES}"),
+        # the random-label null's settings, which only the association takes
+        ({"baseline_mode": "bogus"}, f"unknown mode 'bogus'; expected one of {BASELINE_MODES}"),
+        ({"trials": 0}, "trials must be positive, got 0"),
     ],
 )
 def test_unknown_setting_raises_before_clustering(monkeypatch, setting, message):
     monkeypatch.setattr("epiclust.pipeline._cluster_windows", _no_clustering)
     fix = generate_fixture(10, 60, 2, seed=1)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        temporal_stability(fix.epicurves, ["none"], ["kmeans"], 2, **setting)
+    if set(setting) <= set(inspect.signature(temporal_stability).parameters):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            temporal_stability(fix.epicurves, ["none"], ["kmeans"], 2, **setting)
     with pytest.raises(ValueError, match=re.escape(message)):
         feature_association(fix.epicurves, fix.features, ("none", "kmeans"), 2, **setting)
 
