@@ -127,7 +127,8 @@ def _levels(k):
 
 def _tables(a, b, k):
     """C[i, j, t]: how many regions row t of the (rows, n) ``a`` labels i and row t
-    of ``b`` (broadcast to it) labels j, tables last; in one bincount."""
+    of ``b`` (broadcast to it) labels j, tables last: in one bincount, cell
+    (i k + j) rows + t."""
     rows = len(a)
     cells = (a * k + b) * rows + np.arange(rows)[:, None]
     return np.bincount(cells.reshape(-1), minlength=k * k * rows).reshape(k, k, rows)

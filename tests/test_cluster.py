@@ -1207,7 +1207,7 @@ def test_scalar_features_equal_each_column_alone(monkeypatch, budget):
     rng = np.random.default_rng(19 if budget is None else budget)
     families = sorted(FEATURE_COLUMNS)
     for n in (1, 2, 9, 60, 400, 3142):
-        for k in sorted({1, min(n, 3), min(n, 8)}):
+        for k in range(1, min(n, 8) + 1):
             count = int(rng.integers(1, 12))
             picks = rng.integers(len(families), size=count)
             columns = [FEATURE_COLUMNS[families[pick]](rng, n) for pick in picks]
