@@ -88,6 +88,12 @@ def _check_null(trials, mode):
         raise ValueError(f"unknown mode {mode!r}; expected one of {BASELINE_MODES}")
 
 
+def _check_fraction(value, name):
+    """Raise unless ``value`` lies in (0, 1], naming it ``name``."""
+    if not 0 < value <= 1:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+
+
 def _check_labels(a, b, k, metric):
     a = np.asarray(a, dtype=np.int64).reshape(-1)
     b = np.asarray(b, dtype=np.int64).reshape(-1)
@@ -236,7 +242,6 @@ def balance_check(assignment, max_fraction: float = 0.8) -> BalanceDiagnostic:
     labels = np.asarray(getattr(assignment, "labels", assignment), dtype=np.int64)
     if labels.size == 0:
         raise ValueError("empty assignment")
-    if not 0 < max_fraction <= 1:
-        raise ValueError(f"max_fraction must lie in (0, 1], got {max_fraction}")
+    _check_fraction(max_fraction, "max_fraction")
     fraction = float(np.bincount(labels).max() / labels.size)
     return BalanceDiagnostic(balanced=fraction < max_fraction, largest_fraction=fraction)

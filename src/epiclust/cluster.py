@@ -14,10 +14,11 @@ frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
                           symmetric eigendecomposition -> k-means on the
                           leading eigenvector rows.
   cluster_scalar_feature  exact 1-D k-means: dynamic programming over the
-                          sorted distinct values, with no seed and no
-                          restarts; cluster 0 holds the smallest values.
-                          ``_scalar_features`` runs it on many columns in
-                          one DP, each column's result that of it alone.
+                          sorted distinct values, each level's rows searched
+                          by halving, with no seed and no restarts; cluster
+                          0 holds the smallest values. ``_scalar_features``
+                          runs the DP on many columns at once and returns
+                          only their labels, each column's those of it alone.
 
 Restart r draws its RNG stream from (seed, r) and follows its own trajectory,
 so results do not depend on evaluation order: run in lockstep, each restart
@@ -70,10 +71,6 @@ KMEANS_JOIN_BYTES = 512 * 2**10
 # of one restart is always taken. A block this small stays in cache, and no
 # temporary of the distances grows with n or with the restart count.
 BLOCK_BYTES = 256 * 2**10
-# About how many candidate splits the first pass of a level of the exact
-# 1-D k-means scores. Each later pass takes rows a quarter as far apart; for
-# a level of R rows it scores fewer than 4 R + 4 candidates, whatever this is.
-SCALAR_PASS_SPLITS = 2**13
 
 
 @dataclass(frozen=True)
@@ -684,8 +681,7 @@ def _leftmost_splits(prev, sums, weights, rows, lo, hi):
     """Per row r of ``rows``, the least prev[t] - (sums[r] - sums[t])^2 /
     (weights[r] - weights[t]) over t in [lo, hi], and the leftmost t that
     reaches it: one pass over all rows' candidate ranges laid end to end."""
-    # a range that rounding turned inside out keeps its lower end
-    widths = np.maximum(hi - lo, 0) + 1
+    widths = hi - lo + 1
     ends = np.cumsum(widths)
     offsets = ends - widths
     t = np.arange(widths.sum()) - np.repeat(offsets - lo, widths)
@@ -708,39 +704,36 @@ def cluster_scalar_feature(values, k: int) -> ClusterAssignment:
     their counts, finds the best split of each prefix into j runs for
     j = 1 .. k, each run's SSE taken from prefix sums of the values minus
     their median. The leftmost optimal split of a prefix never moves left as
-    the prefix grows, so each level scores its rows in a few passes: each
-    pass takes rows a quarter as far apart as the one before and searches
-    each row only between the splits of its neighbours from earlier passes.
+    the prefix grows, so each level searches its rows by halving: the middle
+    row of a block is searched between the splits that bound the block, and
+    its split then bounds the block's two halves (Grønlund et al., 2017).
     Ties go to the leftmost split. The result depends on the values alone.
     The prefix sums round by about eps times the values' sum of squared
     deviations from the median; where clusters lie a million times their
     own spread apart or more, that can hide SSE differences and the result
     may miss the optimum.
 
-    Centroids are member means and the inertia is summed in the difference
-    form, as ``kmeans`` computes them. When k exceeds m, each distinct
-    value is its own cluster, labels m .. k - 1 are unused and their
-    centroids are nan. Non-finite values raise ``ValueError``, as do values
-    whose squared deviations overflow.
+    Centroids are member means, each summed in region order, and the
+    inertia is summed in the difference form, as ``kmeans`` computes them.
+    When k exceeds m, each distinct value is its own cluster, labels
+    m .. k - 1 are unused and their centroids are nan. Non-finite values
+    raise ``ValueError``, as do values whose squared deviations overflow.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
-    return _scalar_features(values[:, None], k)[0]
+    labels = _scalar_features(values[:, None], k)[0]
+    sizes = np.bincount(labels, minlength=k)
+    centroids = np.full((k, 1), np.nan)
+    for c in np.flatnonzero(sizes).tolist():
+        centroids[c, 0] = np.add.reduce(values[labels == c]) / sizes[c]
+    dev = values - centroids[labels, 0]
+    return ClusterAssignment(labels, k, centroids, float((dev * dev).sum()))
 
 
-def _ranges(start, stop, step):
-    """The ranges ``arange(start[i], stop[i], step[i])`` laid end to end, and
-    for each entry the i of its range."""
-    counts = np.maximum(-(-(stop - start) // step), 0)
-    owner = np.repeat(np.arange(counts.size), counts)
-    first = np.cumsum(counts) - counts
-    return owner, start[owner] + (np.arange(owner.size) - first[owner]) * step[owner]
-
-
-def _scalar_features(values, k: int) -> list[ClusterAssignment]:
-    """``cluster_scalar_feature`` of each column of the (n, F) ``values``, bit
-    for bit: each level of the DP scores all columns' rows in one
-    ``_leftmost_splits`` call per pass, each column at its own pass stride.
-    Column f's prefix arrays lie at flat positions f (n + 1) .. f (n + 1) + n."""
+def _scalar_features(values, k: int) -> np.ndarray:
+    """The (F, n) labels ``cluster_scalar_feature`` gives each column of the
+    (n, F) ``values``, bit for bit: each round of a level's halving searches
+    the middle rows of every column's blocks in one ``_leftmost_splits``
+    call. Column f's prefix arrays lie at flat positions f (n + 1) .. f (n + 1) + n."""
     values = _as_points(values).T
     features, n = values.shape
     _check_k(k, n)
@@ -781,28 +774,21 @@ def _scalar_features(values, k: int) -> list[ClusterAssignment]:
         # rows leave one value for each later run; the last level needs m only
         col = np.flatnonzero(used >= j)
         high = base[col] + m[col] - used[col] + j
-        low = np.where(used[col] == j, high, base[col] + j)
+        first = np.where(used[col] == j, high, base[col] + j)
         prev, best = best, np.full(best.size, np.inf)
         split = np.arange(best.size)  # a column not at this level keeps its cut
-        stride = np.ones_like(high)
-        while (wide := (high - low + 1) ** 2 > 2 * SCALAR_PASS_SPLITS * stride).any():
-            stride[wide] *= 4
-        owner, rows = _ranges(low, high, stride)
-        rows = np.append(rows, high)
-        lo, hi = base[col][np.append(owner, np.arange(col.size))] + j - 1, rows - 1
-        while True:
-            best[rows], split[rows] = _leftmost_splits(prev, sums, weights, rows, lo, hi)
-            more = stride > 1
-            if not more.any():
-                break
-            low, high, step = low[more], high[more], stride[more]
-            stride = step // 4
-            owner, rows = _ranges(low, high, stride)
-            off = (rows - low[owner]) % step[owner]
-            owner, rows, off = owner[off > 0], rows[off > 0], off[off > 0]
-            below = rows - off
-            lo = split[below]
-            hi = np.minimum(split[np.minimum(below + step[owner], high[owner])], rows - 1)
+        # blocks [first, last] of rows whose splits lie in [lo, hi]: each round
+        # searches the middle rows; rows below one split no later, rows above
+        # no earlier, so no range is ever empty
+        last, lo, hi = high, base[col] + j - 1, high - 1
+        while first.size:
+            mid = (first + last) // 2
+            best[mid], split[mid] = _leftmost_splits(prev, sums, weights, mid, lo, np.minimum(hi, mid - 1))
+            at = split[mid]  # the lower halves, then the upper halves
+            first, last = np.concatenate([first, mid + 1]), np.concatenate([mid - 1, last])
+            lo, hi = np.concatenate([lo, at]), np.concatenate([at, hi])
+            keep = first <= last
+            first, last, lo, hi = first[keep], last[keep], lo[keep], hi[keep]
         splits.append(split)
     # mark where each run starts (and each column's end, which no label reads);
     # a distinct value's label counts the marks up to it
@@ -813,17 +799,4 @@ def _scalar_features(values, k: int) -> list[ClusterAssignment]:
     runs = np.cumsum(marks.reshape(features, n + 1), axis=1)
     labels = np.empty((features, n), dtype=np.int64)
     np.put_along_axis(labels, order, np.take_along_axis(runs, rank, axis=1), axis=1)
-    # centroids are member means, each summed in region order as kmeans sums it
-    sizes = np.bincount((labels + k * np.arange(features)[:, None]).ravel(), minlength=features * k)
-    sizes = sizes.reshape(features, k)
-    grouped = np.take_along_axis(values, np.argsort(labels, axis=1, kind="stable"), axis=1)
-    ends = np.cumsum(sizes, axis=1)
-    centroids = np.full((features, k, 1), np.nan)
-    f, c = np.nonzero(sizes)
-    centroids[f, c, 0] = [
-        np.add.reduce(grouped[i, end - size : end]) / size
-        for i, end, size in zip(f.tolist(), ends[f, c].tolist(), sizes[f, c].tolist())
-    ]
-    dev = values - np.take_along_axis(centroids[:, :, 0], labels, axis=1)
-    inertia = (dev * dev).sum(axis=1).tolist()
-    return [ClusterAssignment(row, k, c, i) for row, c, i in zip(labels, centroids, inertia)]
+    return labels

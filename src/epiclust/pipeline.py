@@ -22,6 +22,7 @@ from .align import (
     BaselineResult,
     _alignments,
     _check_align,
+    _check_fraction,
     _check_null,
     _least_costs,
     balance_check,
@@ -32,6 +33,7 @@ from .cluster import (
     ClusterAssignment,
     KMeansConfig,
     SpectralConfig,
+    _check_k,
     _kmeans_windows,
     _scalar_features,
     _spectral_from_affinities,
@@ -146,7 +148,9 @@ def temporal_stability(
     ``PREPROCESS_KINDS`` and ``ALGORITHMS``, whatever the order of ``preps``
     and ``algos``, so the selection and the reports do not depend on it.
     """
-    _check_align(k, metric)  # before any window is clustered
+    _check_k(k, m.n_regions)  # every setting before any window is clustered
+    _check_align(k, metric)
+    _check_fraction(balance_threshold, "balance_threshold")
     preps = _in_order(preps, PREPROCESS_KINDS, "preprocessing kind")
     algos = _in_order(algos, ALGORITHMS, "algorithm")
     if m.n_days < 2 * window_len:
@@ -216,7 +220,9 @@ def feature_association(
     the feature (RNG keyed per (seed, window, feature) cell), so deviation
     = SM2 - SM1 measures how far above chance the agreement is.
     """
-    _check_align(k, metric)  # before any window is clustered
+    _check_k(k, m.n_regions)  # every setting before any window is clustered
+    _check_align(k, metric)
+    _check_fraction(balance_threshold, "balance_threshold")
     _check_null(trials, baseline_mode)
     if f.region_names != m.region_names:
         raise ValueError(
@@ -226,16 +232,15 @@ def feature_association(
     prep, algo = chosen
     windows = _prepared_windows(m, prep, window_len, prep_scope)
     epidemic = _cluster_windows(windows, algo, k, kmeans_cfg, spectral_cfg)
-    scalar = _scalar_features(f.values, k)
+    features = _scalar_features(f.values, k)
     # every (feature, window) cell, feature-major, aligned in one batch
-    features = np.array([s.labels for s in scalar], dtype=np.int64).reshape(-1, f.values.shape[0])
     reference = np.array([e.labels for e in epidemic])
     alignments = _alignments(
-        np.repeat(features, len(epidemic), axis=0), np.tile(reference, (len(scalar), 1)), k, metric
+        np.repeat(features, len(epidemic), axis=0), np.tile(reference, (len(features), 1)), k, metric
     )
     cells = []
     for i, feature in enumerate(f.feature_names):
-        feature_diag = balance_check(scalar[i], balance_threshold)
+        feature_diag = balance_check(features[i], balance_threshold)
         for w, epi in enumerate(epidemic):
             alignment = alignments[len(cells)]
             cell_seed = int(np.random.SeedSequence([seed, w, i]).generate_state(1)[0])

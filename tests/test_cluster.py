@@ -1140,6 +1140,36 @@ def contiguous_scalar_optimum(values, k):
     return best
 
 
+def dense_scalar_dp(values, k):
+    """Labels of the exact 1-D DP with every row of every level searched over
+    all its splits, leftmost on ties, in the module's arithmetic (prefix sums
+    of the distinct values minus the median, weighted by their counts); and
+    each level's splits, which rounding may put out of order."""
+    values = np.asarray(values, dtype=float)
+    ordered = np.sort(values)
+    distinct, counts = np.unique(ordered, return_counts=True)
+    m = distinct.size
+    weights = np.concatenate([[0.0], np.cumsum(counts)])
+    sums = np.concatenate([[0.0], np.cumsum(counts * (distinct - ordered[values.size // 2]))])
+    best = np.full(m + 1, np.inf)
+    best[1:] = -sums[1:] * (sums[1:] / weights[1:])
+    levels = []
+    for j in range(2, min(k, m) + 1):
+        prev, best, split = best, np.full(m + 1, np.inf), np.zeros(m + 1, dtype=int)
+        for r in range(j, m + 1):
+            t = np.arange(j - 1, r)
+            diff = sums[r] - sums[t]
+            score = prev[t] - diff / (weights[r] - weights[t]) * diff
+            split[r] = t[score.argmin()]
+            best[r] = score.min()
+        levels.append(split)
+    starts, cut = np.zeros(m, dtype=int), m
+    for split in reversed(levels):
+        cut = split[cut]
+        starts[cut] = 1
+    return np.cumsum(starts)[np.searchsorted(distinct, values)], [s[j:] for j, s in enumerate(levels, 2)]
+
+
 SCALAR_FAMILIES = {
     "uniform": lambda rng, n: rng.uniform(0, 100, n),
     # few distinct values: many runs of equal values and tied splits
@@ -1162,32 +1192,30 @@ def test_scalar_feature_sse_equals_the_exhaustive_optimum(family):
         assert cluster_scalar_feature(values, k).inertia == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
-@pytest.mark.parametrize("budget", [1, 5, 37, 2**13])
-def test_scalar_feature_sse_equals_the_best_contiguous_split(monkeypatch, budget):
-    # a budget this small makes each level take rows in several passes, each
-    # searching between the splits of the last pass
-    monkeypatch.setattr("epiclust.cluster.SCALAR_PASS_SPLITS", budget)
-    rng = np.random.default_rng(budget)
+@pytest.mark.parametrize("seed", [1, 5, 37, 2**13])
+def test_scalar_feature_sse_equals_the_best_contiguous_split(seed):
+    # the halving search, which bounds each row's splits by those of rows
+    # searched before it, finds the dense search's partition and its SSE is
+    # the least over every contiguous split
+    rng = np.random.default_rng(seed)
     for _ in range(40):
         n = int(rng.integers(1, 21))
         values = SCALAR_FAMILIES[sorted(SCALAR_FAMILIES)[int(rng.integers(3))]](rng, n)
         k = int(rng.integers(1, min(n, 5) + 1))
+        got = cluster_scalar_feature(values, k)
+        assert np.array_equal(got.labels, dense_scalar_dp(values, k)[0])
         want = contiguous_scalar_optimum(values, k)
-        assert cluster_scalar_feature(values, k).inertia == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert got.inertia == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
-def test_scalar_feature_passes_agree_with_one_full_pass(monkeypatch):
+def test_scalar_feature_passes_agree_with_one_full_pass():
+    # halving's rounds give the labels of one full pass over every split of
+    # every row, on levels of hundreds of rows
     rng = np.random.default_rng(23)
     cases = [(rng.uniform(0, 100, n), k) for n in (200, 700) for k in (2, 3, 6)]
     cases += [(rng.integers(0, 300, 900).astype(float), 4)]
-    monkeypatch.setattr("epiclust.cluster.SCALAR_PASS_SPLITS", 10**9)
-    full = [cluster_scalar_feature(*case) for case in cases]
-    for budget in (1, 64):
-        monkeypatch.setattr("epiclust.cluster.SCALAR_PASS_SPLITS", budget)
-        for case, want in zip(cases, full):
-            got = cluster_scalar_feature(*case)
-            assert np.array_equal(got.labels, want.labels)
-            assert got.inertia == want.inertia
+    for values, k in cases:
+        assert np.array_equal(cluster_scalar_feature(values, k).labels, dense_scalar_dp(values, k)[0])
 
 
 # columns with ties, with few distinct values and with a long right tail
@@ -1197,14 +1225,12 @@ FEATURE_COLUMNS = {
 }
 
 
-@pytest.mark.parametrize("budget", [None, 1, 64])
-def test_scalar_features_equal_each_column_alone(monkeypatch, budget):
-    # one DP over all columns, each at its own pass stride, gives every
-    # column's labels, centroid bytes and inertia of clustering it alone; a
-    # small budget makes the columns take different numbers of passes
-    if budget is not None:
-        monkeypatch.setattr("epiclust.cluster.SCALAR_PASS_SPLITS", budget)
-    rng = np.random.default_rng(19 if budget is None else budget)
+@pytest.mark.parametrize("seed", [None, 1, 64])
+def test_scalar_features_equal_each_column_alone(seed):
+    # one DP over all columns gives every column the labels of clustering it
+    # alone; columns of different distinct-value counts halve different
+    # blocks in each round (seed None draws from seed 19)
+    rng = np.random.default_rng(19 if seed is None else seed)
     families = sorted(FEATURE_COLUMNS)
     for n in (1, 2, 9, 60, 400, 3142):
         for k in range(1, min(n, 8) + 1):
@@ -1212,20 +1238,16 @@ def test_scalar_features_equal_each_column_alone(monkeypatch, budget):
             picks = rng.integers(len(families), size=count)
             columns = [FEATURE_COLUMNS[families[pick]](rng, n) for pick in picks]
             found = _scalar_features(np.stack(columns, axis=1), k)
-            assert len(found) == count
+            assert found.shape == (count, n) and found.dtype == np.int64
             for values, got in zip(columns, found):
-                want = cluster_scalar_feature(values, k)
-                assert np.array_equal(got.labels, want.labels)
-                assert got.centroids.tobytes() == want.centroids.tobytes()
-                assert got.inertia == want.inertia
+                assert np.array_equal(got, cluster_scalar_feature(values, k).labels)
 
 
-def test_scalar_features_keep_each_columns_own_passes(monkeypatch):
+def test_scalar_features_keep_each_columns_own_passes():
     # two groups up to 1e10 apart: the prefix sums round by more than some
-    # SSE differences, so a split can depend on which passes found it; in a
-    # batch each column takes the passes it takes alone, whatever the other
-    # column's count of distinct values
-    monkeypatch.setattr("epiclust.cluster.SCALAR_PASS_SPLITS", 64)
+    # SSE differences, so a split can depend on the rows that bounded its
+    # search; in a batch each column's blocks are bounded by its own splits,
+    # whatever the other column's count of distinct values
     rng = np.random.default_rng(64)
     for _ in range(50):
         n, spread = int(rng.integers(10, 400)), int(rng.integers(2, 50))
@@ -1236,7 +1258,7 @@ def test_scalar_features_keep_each_columns_own_passes(monkeypatch):
         ]
         k = int(rng.integers(2, 8))
         for values, got in zip(columns, _scalar_features(np.stack(columns, axis=1), k)):
-            assert np.array_equal(got.labels, cluster_scalar_feature(values, k).labels)
+            assert np.array_equal(got, cluster_scalar_feature(values, k).labels)
 
 
 def test_scalar_features_name_the_non_finite_cell():
@@ -1303,17 +1325,16 @@ def test_scalar_feature_more_clusters_than_distinct_values():
 
 def test_scalar_feature_survives_splits_that_rounding_puts_out_of_order(monkeypatch):
     # two clusters 1e8 apart, each of unit spread: the prefix sums round by
-    # more than the SSE differences inside a cluster, so a row's split can
-    # land left of an earlier row's, and a row between them is searched at
-    # the lower end of its range only
-    inverted = []
+    # more than the SSE differences inside a cluster, so a row's dense split
+    # can land left of an earlier row's; halving still searches no row over
+    # an empty range and gives ordered labels that use every cluster
+    searched, out_of_order = [], 0
 
     def watched(prev, sums, weights, rows, lo, hi):
-        inverted.append(int((hi < lo).sum()))
+        searched.append((lo, hi))
         return _leftmost_splits(prev, sums, weights, rows, lo, hi)
 
     monkeypatch.setattr("epiclust.cluster._leftmost_splits", watched)
-    monkeypatch.setattr("epiclust.cluster.SCALAR_PASS_SPLITS", 1)
     rng = np.random.default_rng(43)
     for _ in range(100):
         n = int(rng.integers(20, 60))
@@ -1322,7 +1343,9 @@ def test_scalar_feature_survives_splits_that_rounding_puts_out_of_order(monkeypa
         labels = cluster_scalar_feature(values, k).labels
         assert np.all(np.diff(labels[np.argsort(values, kind="stable")]) >= 0)
         assert labels.max() == k - 1
-    assert sum(inverted) > 0
+        out_of_order += any((np.diff(split) < 0).any() for split in dense_scalar_dp(values, k)[1])
+    assert all((hi >= lo).all() for lo, hi in searched)
+    assert out_of_order > 0
 
 
 def test_scalar_feature_overflowing_deviations_raise():

@@ -116,7 +116,7 @@ def test_stability_matrix_equals_per_pair_alignment(monkeypatch):
     rng = np.random.default_rng(18)
     for k in range(1, 9):
         for metric in METRICS:
-            count, n = int(rng.integers(2, 7)), int(rng.integers(1, 40))
+            count, n = int(rng.integers(2, 7)), int(rng.integers(k, 40))
             labels = rng.integers(0, k, (count, n))
             found = [ClusterAssignment(row, k, np.zeros((k, 1)), 0.0) for row in labels]
             monkeypatch.setattr("epiclust.pipeline._cluster_windows", lambda *args: found)
@@ -167,6 +167,8 @@ def _no_clustering(*args):
         # the random-label null's settings, which only the association takes
         ({"baseline_mode": "bogus"}, f"unknown mode 'bogus'; expected one of {BASELINE_MODES}"),
         ({"trials": 0}, "trials must be positive, got 0"),
+        ({"balance_threshold": 0.0}, "balance_threshold must lie in (0, 1], got 0.0"),
+        ({"balance_threshold": 1.5}, "balance_threshold must lie in (0, 1], got 1.5"),
     ],
 )
 def test_unknown_setting_raises_before_clustering(monkeypatch, setting, message):
@@ -177,6 +179,17 @@ def test_unknown_setting_raises_before_clustering(monkeypatch, setting, message)
             temporal_stability(fix.epicurves, ["none"], ["kmeans"], 2, **setting)
     with pytest.raises(ValueError, match=re.escape(message)):
         feature_association(fix.epicurves, fix.features, ("none", "kmeans"), 2, **setting)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("k, message", [(0, "k must be positive, got 0"), (11, "k=11 exceeds the 10 observations")])
+def test_out_of_range_k_raises_before_clustering(monkeypatch, algo, k, message):
+    monkeypatch.setattr("epiclust.pipeline._cluster_windows", _no_clustering)
+    fix = generate_fixture(10, 60, 2, seed=1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        temporal_stability(fix.epicurves, ["none"], [algo], k)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        feature_association(fix.epicurves, fix.features, ("none", algo), k)
 
 
 @pytest.mark.parametrize(
