@@ -24,19 +24,20 @@ Restart r draws its RNG stream from (seed, r) and follows its own trajectory,
 so results do not depend on evaluation order: run in lockstep, each restart
 makes the same draws and reaches the same partition as when run alone. The
 studies cluster all windows of a technique in one ``_kmeans_windows`` call
-(for spectral, on the windows' embeddings), whose lockstep unit is a
-(window, restart) pair, so each window's result equals ``kmeans`` of it
-alone, the one-window case. k-means++ seeding takes each restart's weights
-in the Gram form, one BLAS product per center index, and keeps a draw only
-where the rounding bound certifies that the difference-form weights give the
-same index; any other restart draws from its difference-form row with the
-same random number. The exact (difference-form) inertia is taken once per
-distinct final state. Every difference-form distance, in k-means and in
-``rbf_affinity``, comes from ``_sq_dists``: (restarts, rows, d) blocks of
-bounded size, each distance one sum over its row's d contiguous values, so
-it equals the one-centroid value bit for bit. Only ``inertia_history``
-entries before the last (Gram-form totals) may differ in their last bits,
-as they may between BLAS builds.
+(for spectral, on the windows' embeddings), whose lockstep unit is a (window,
+restart) pair that carries its window index; only the BLAS product, the row
+gathers and the difference-form blocks group pairs into runs that share a
+window. Each window's result equals ``kmeans`` of it alone, the one-window
+case. k-means++ seeding takes each restart's weights in the Gram form, one
+BLAS product per center index, and keeps a draw only where the rounding bound
+certifies that the difference-form weights give the same index; any other
+restart draws from its difference-form row with the same random number. The
+exact (difference-form) inertia is taken once per distinct final state. Every
+difference-form distance, in k-means and in ``rbf_affinity``, comes from
+``_sq_dists``: (restarts, rows, d) blocks of bounded size, each distance one
+sum over its row's d contiguous values, so it equals the one-centroid value
+bit for bit. Only ``inertia_history`` entries before the last (Gram-form
+totals) may differ in their last bits, as they may between BLAS builds.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ ALGORITHMS = ("spectral", "kmeans")
 LAPLACIAN_KINDS = ("unnormalized", "symmetric_normalized")
 # Restarts of one kmeans call run in lockstep groups that fit in this many
 # bytes; a group of at least one restart is always taken. At the peak of a
-# step a restart holds about n (11 k + 56) bytes (its (k, n) scores and masks
+# step a restart holds about n (11 k + 48) bytes (its (k, n) scores and masks
 # and a few (n,) rows), about five (k, d) centroid arrays (current, old, new
 # and the shift temporaries) and an RNG of about 2 KiB:
 # 16 n (k + 4) + 48 k d + 2 KiB bounds that for every k and d.
@@ -220,31 +221,29 @@ def _gram_band(d, radius):
 def _runs(wins):
     """(window, pairs) for each run of equal entries of the sorted window
     indices ``wins``, pairs being the slice of that run."""
-    if wins[0] == wins[-1]:
-        return [(int(wins[0]), slice(0, len(wins)))]
     cuts = [0, *(np.flatnonzero(wins[1:] != wins[:-1]) + 1).tolist(), len(wins)]
     return [(int(wins[lo]), slice(lo, hi)) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def _rows(points, picks, runs):
-    """``points[w][picks[j]]`` for each pair j of each run (w, pairs), shape
-    (*picks.shape, d)."""
+def _rows(points, picks, wins):
+    """``points[wins[j]][picks[j]]`` for each pair j, shape (*picks.shape, d):
+    one gather per run of pairs that share a window."""
     out = np.empty((*picks.shape, points[0].shape[1]))
-    for w, pairs in runs:
+    for w, pairs in _runs(wins):
         out[pairs] = points[w][picks[pairs]]
     return out
 
 
-def _gram(points, sq_norms, centers, c_norms, runs):
-    """|x|^2 - 2 x.c + |c|^2 of each row x of a pair's window for each of the
-    pair's m centers, shape (a, m, n) for (a, m, d) centers: one BLAS product
-    per run (w, pairs) of pairs that share window ``points[w]``, whose rows
-    have the squared norms ``sq_norms[w]``. Overflow gives inf or nan
-    entries, which every caller sends to the difference form under
-    ``np.errstate``."""
+def _gram(points, sq_norms, centers, c_norms, wins):
+    """|x|^2 - 2 x.c + |c|^2 of each row x of pair j's window
+    ``points[wins[j]]``, whose rows have the squared norms
+    ``sq_norms[wins[j]]``, for each of the pair's m centers, shape (a, m, n)
+    for (a, m, d) centers: one BLAS product per run of pairs that share a
+    window. Overflow gives inf or nan entries, which every caller sends to
+    the difference form under ``np.errstate``."""
     (a, m, d), n = centers.shape, points[0].shape[0]
     d2 = np.empty((a, m, n))
-    for w, pairs in runs:
+    for w, pairs in _runs(wins):
         block = d2[pairs]
         np.matmul(centers[pairs].reshape(-1, d), points[w].T, out=block.reshape(-1, n))
         block *= -2.0
@@ -253,41 +252,37 @@ def _gram(points, sq_norms, centers, c_norms, runs):
     return d2
 
 
-def _assign(points, sq_norms, x_norms, centroids, runs):
+def _assign(points, sq_norms, x_norms, centroids, wins):
     """Nearest-centroid labels, shape (a, n), and summed squared distances,
-    shape (a,), for the (a, k, d) centroids of a pairs, the pairs of each run
-    (w, pairs) clustering window ``points[w]``, whose largest row norm is
-    ``x_norms[w]``: Gram form, screened per pair, re-scored in the
+    shape (a,), for the (a, k, d) centroids of a pairs, pair j clustering
+    window ``points[wins[j]]``, whose largest row norm is
+    ``x_norms[wins[j]]``: Gram form, screened per pair, re-scored in the
     difference form where the screen cannot vouch for the argmin (see
     ``_GRAM_SLACK``). Ties go to the first centroid."""
     a, k, d = centroids.shape
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves its rows unsettled
         c_norms = (centroids * centroids).sum(axis=2)
-        d2 = _gram(points, sq_norms, centroids, c_norms, runs)
+        d2 = _gram(points, sq_norms, centroids, c_norms, wins)
         # first centroid on ties: a later one takes a row only when strictly
         # closer, and its index exceeds every earlier label. The row's two
         # least entries (equal on a tie) are kept; a nan entry makes both nan
         labels = np.zeros(d2[:, 0].shape, dtype=np.intp)
         row_min = d2[:, 0].copy()
-        second = np.empty_like(row_min)
-        second.fill(np.inf)
+        second = np.full_like(row_min, np.inf)
         for c in range(1, k):
             closer = np.multiply(d2[:, c] < row_min, c, dtype=np.intp)
             np.maximum(labels, closer, out=labels)
             np.minimum(second, np.maximum(row_min, d2[:, c]), out=second)
             np.minimum(row_min, d2[:, c], out=row_min)
-        radius = np.sqrt(c_norms.max(axis=1))
-        for w, pairs in runs:
-            radius[pairs] += x_norms[w]
+        radius = np.sqrt(c_norms.max(axis=1)) + x_norms[wins]
         # a row is settled when every entry but its minimum lies beyond the
         # band, that is its second least entry does; a nan compares false
         unsettled = ~(second > row_min + _gram_band(d, radius)[:, None])
-    for w, pairs in runs:
-        for j in np.flatnonzero(unsettled[pairs].any(axis=1)) + pairs.start:
-            redo = np.flatnonzero(unsettled[j])
-            exact = _sq_dists(points[w][redo], centroids[j])
-            labels[j, redo] = exact.argmin(axis=0)
-            row_min[j, redo] = exact[labels[j, redo], np.arange(redo.size)]
+    for j in np.flatnonzero(unsettled.any(axis=1)).tolist():
+        redo = np.flatnonzero(unsettled[j])
+        exact = _sq_dists(points[wins[j]][redo], centroids[j])
+        labels[j, redo] = exact.argmin(axis=0)
+        row_min[j, redo] = exact[labels[j, redo], np.arange(redo.size)]
     return labels, row_min.sum(axis=1)
 
 
@@ -385,7 +380,6 @@ def _plusplus_seeds(points, k, rngs, sq_norms, x_norms, wins):
     reads the distances to the last center, so they are taken to centers
     0 .. k - 2."""
     n, d = points[0].shape
-    runs = _runs(wins)
     picks = np.empty((len(rngs), k), dtype=np.intp)
     picks[:, 0] = [rng.integers(n) for rng in rngs]
     with np.errstate(over="ignore"):  # a band that overflows is inf and certifies no draw
@@ -401,12 +395,12 @@ def _plusplus_seeds(points, k, rngs, sq_norms, x_norms, wins):
     for i in range(1, k):
         last = picks[:, i - 1 : i]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow certifies no draw
-            centers = _rows(points, last, runs)
-            dists = _gram(points, sq_norms, centers, sq_norms[wins[:, None], last], runs)[:, 0]
+            centers = _rows(points, last, wins)
+            dists = _gram(points, sq_norms, centers, sq_norms[wins[:, None], last], wins)[:, 0]
             np.maximum(dists, 0.0, out=dists)
         d2 = dists if i == 1 else np.minimum(d2, dists, out=d2)
         picks[:, i] = _weighted_draws(d2, rngs, error, exact)
-    return _rows(points, picks, runs)
+    return _rows(points, picks, wins)
 
 
 def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms):
@@ -428,29 +422,28 @@ def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms):
     rngs = [np.random.default_rng([cfg.seed, r]) for _, r in pairs]
     centroids = _plusplus_seeds(points, k, rngs, sq_norms, x_norms, wins)
     histories = [[] for _ in range(g)]
-    final = np.empty((g, n), dtype=np.intp)
-    repeat = np.full((g, n), -1)  # last labels whose means fill every centroid
+    # live pair: last labels whose means fill every centroid, or -1; left: final labels
+    last = np.full((g, n), -1, dtype=np.intp)
     stale = np.zeros(g, dtype=bool)  # centroids moved < epsilon: the next labels are final
-    live, live_wins, runs = np.arange(g), wins, _runs(wins)
+    live = np.arange(g)
     for step in range(cfg.max_iters + 1):
-        labels, totals = _assign(points, sq_norms, x_norms, centroids[live], runs)
+        labels, totals = _assign(points, sq_norms, x_norms, centroids[live], wins[live])
         moving = ~stale[live] & (step < cfg.max_iters)
         for j, total in zip(live[moving].tolist(), totals[moving].tolist()):
             histories[j].append(total)
         # the means of repeated labels are the current centroids, bit for
         # bit: the next shift is 0 and these labels are final
-        done = ~moving | (labels == repeat[live]).all(axis=1)
+        done = ~moving | (labels == last[live]).all(axis=1)
         if done.any():
-            final[live[done]] = labels[done]
-            live, live_wins, labels = live[~done], live_wins[~done], labels[~done]
+            last[live[done]] = labels[done]
+            live, labels = live[~done], labels[~done]
             if not live.size:
                 break
-            runs = _runs(live_wins)
         members = labels[:, None, :] == np.arange(k)[:, None]
         counts = members.sum(axis=2)
         old = centroids[live]
         new = old.copy()
-        for w, masks, sums, row in zip(live_wins.tolist(), members, new, counts.tolist()):
+        for w, masks, sums, row in zip(wins[live].tolist(), members, new, counts.tolist()):
             x = points[w]
             for mask, out, count in zip(masks, sums, row):
                 if count:
@@ -462,17 +455,17 @@ def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms):
         for i in np.flatnonzero(~filled.all(axis=1)):
             # re-seed each empty cluster with the point farthest from its
             # current centroid, never reusing a point twice
-            x = points[live_wins[i]]
+            x = points[wins[live[i]]]
             dist_to_own = _sq_dists(x, old[i : i + 1], labels[i : i + 1])[0]
             for c in np.flatnonzero(~filled[i]):
                 far = int(dist_to_own.argmax())
                 new[i, c] = x[far]
                 dist_to_own[far] = -1.0
-        repeat[live] = np.where(filled.all(axis=1)[:, None], labels, -1)
+        last[live] = np.where(filled.all(axis=1)[:, None], labels, -1)
         shift = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
         centroids[live] = new
         stale[live] = shift < cfg.epsilon
-    keys = [(w, final[j].tobytes() + centroids[j].tobytes()) for j, w in enumerate(wins.tolist())]
+    keys = [(w, last[j].tobytes() + centroids[j].tobytes()) for j, w in enumerate(wins.tolist())]
     firsts = {}  # the first pair of each distinct final state
     for j, key in enumerate(keys):
         firsts.setdefault(key, j)
@@ -481,10 +474,10 @@ def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms):
     rows = np.array(list(firsts.values()))
     exact = np.empty(rows.size)
     for w, part in _runs(wins[rows]):
-        exact[part] = _sq_dists(points[w], centroids[rows[part]], final[rows[part]]).sum(axis=1)
+        exact[part] = _sq_dists(points[w], centroids[rows[part]], last[rows[part]]).sum(axis=1)
     inertias = dict(zip(firsts, exact.tolist()))
     for j, key in enumerate(keys):
-        yield final[j].copy(), centroids[j].copy(), inertias[key], (*histories[j], inertias[key])
+        yield last[j].copy(), centroids[j].copy(), inertias[key], (*histories[j], inertias[key])
 
 
 def _kmeans_windows(windows, k: int, cfg: KMeansConfig) -> list[ClusterAssignment]:
@@ -505,14 +498,11 @@ def _kmeans_windows(windows, k: int, cfg: KMeansConfig) -> list[ClusterAssignmen
         sq_norms = np.concatenate([_sq_dists(points, np.zeros((1, d))) for points in windows])
     x_norms = np.sqrt(sq_norms.max(axis=1))
     restart_bytes = 16 * n * (k + 4) + 48 * k * d + 2048
-    if cfg.restarts * restart_bytes <= KMEANS_JOIN_BYTES:
-        joined = KMEANS_JOIN_BYTES // (cfg.restarts * restart_bytes)
-        groups = [(range(w, min(w + joined, len(windows))), range(cfg.restarts))
-                  for w in range(0, len(windows), joined)]
-    else:
-        size = max(1, KMEANS_GROUP_BYTES // restart_bytes)
-        groups = [(range(w, w + 1), range(r, min(r + size, cfg.restarts)))
-                  for w in range(len(windows)) for r in range(0, cfg.restarts, size)]
+    window_bytes = cfg.restarts * restart_bytes
+    joined = max(1, KMEANS_JOIN_BYTES // window_bytes)
+    size = cfg.restarts if window_bytes <= KMEANS_JOIN_BYTES else max(1, KMEANS_GROUP_BYTES // restart_bytes)
+    groups = [(range(w, min(w + joined, len(windows))), range(r, min(r + size, cfg.restarts)))
+              for w in range(0, len(windows), joined) for r in range(0, cfg.restarts, size)]
     best = [None] * len(windows)
     for group_windows, restarts in groups:
         pairs = [(w, r) for w in group_windows for r in restarts]
@@ -534,10 +524,10 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignm
     Gram form |x|^2 - 2 x.c + |c|^2 and re-scored in the difference form
     where the rounding bound cannot settle a row (see ``_GRAM_SLACK``), so
     labels, centroids and the final inertia equal those of the difference
-    form bit for bit, exact ties going to the first centroid. Entries of ``inertia_history`` before the
-    last may carry Gram-form rounding; the last is the exact ``inertia``.
-    Non-finite points raise ``ValueError``. This is ``_kmeans_windows`` with
-    one window.
+    form bit for bit, exact ties going to the first centroid. Entries of
+    ``inertia_history`` before the last may carry Gram-form rounding; the
+    last is the exact ``inertia``. Non-finite points raise ``ValueError``.
+    This is ``_kmeans_windows`` with one window.
     """
     return _kmeans_windows([points], k, cfg)[0]
 
@@ -594,14 +584,14 @@ def laplacian(w, kind: str = "unnormalized") -> np.ndarray:
     as its own connected component. An asymmetry of ``w`` within tolerance
     stays in the result, of which ``numpy.linalg.eigh`` reads one triangle.
     """
+    if kind not in LAPLACIAN_KINDS:
+        raise ValueError(f"unknown laplacian kind {kind!r}; expected one of {LAPLACIAN_KINDS}")
     w = check_symmetric(w)
     if (w < 0).any():
         i, j = np.argwhere(w < 0)[0]
         raise ValueError(f"negative affinity entry at ({i}, {j})")
     if np.abs(np.diag(w)).max(initial=0.0) > 0:
         raise ValueError("affinity matrix must have a zero diagonal")
-    if kind not in LAPLACIAN_KINDS:
-        raise ValueError(f"unknown laplacian kind {kind!r}; expected one of {LAPLACIAN_KINDS}")
     deg = w.sum(axis=1)
     # one n x n array: 0.0 - w keeps a zero affinity +0.0, where -w gives -0.0
     if kind == "unnormalized":

@@ -153,6 +153,8 @@ def temporal_stability(
     _check_fraction(balance_threshold, "balance_threshold")
     preps = _in_order(preps, PREPROCESS_KINDS, "preprocessing kind")
     algos = _in_order(algos, ALGORITHMS, "algorithm")
+    if "population" in preps and m.populations is None:
+        raise ValueError("population normalization requires per-region populations")
     if m.n_days < 2 * window_len:
         raise ValueError(
             f"{m.n_days} days yield fewer than 2 windows of {window_len}; "

@@ -164,6 +164,8 @@ def test_alignment_errors():
         best_permutation_dissimilarity([0] * 5, [0] * 5, 13)
     with pytest.raises(ValueError, match="non-empty"):
         best_permutation_dissimilarity([], [], 2)
+    with pytest.raises(ValueError, match="^k must be positive, got 0$"):
+        best_permutation_dissimilarity([0], [0], 0)
     with pytest.raises(ValueError, match="unknown metric"):
         best_permutation_dissimilarity([0], [0], 1, metric="hamming")
 

@@ -336,11 +336,12 @@ def test_k_zero_exits_1(fixture_dir, tmp_path, capsys, command):
         ("stability", '{"spectral": {"sigma": "inf"}}', "'spectral' key 'sigma': 'inf': expected"),
         ("cluster", '{"kmeans": {"epsilon": 1e999}}', "'kmeans' key 'epsilon': 'inf': expected"),
         ("stability", '{"seed": -1}', "config key 'seed': '-1': expected an integer >= 0"),
+        ("stability", '{"kmeans": 3}', "config section 'kmeans' must be a JSON object"),
     ],
     ids=["k_text", "k_fraction", "metric", "prep_scope", "prep_list", "restarts_bool", "not_json",
          "window_len_zero", "balance_threshold_above_1", "epsilon_zero", "max_iters_zero",
          "restarts_zero", "sigma_negative", "trials_zero", "sigma_inf", "epsilon_inf",
-         "seed_negative"],
+         "seed_negative", "section_not_object"],
 )
 def test_bad_config_value_exits_2(fixture_dir, tmp_path, capsys, command, text, named):
     cfg = tmp_path / "cfg.json"

@@ -2,6 +2,7 @@
 spectral and scalar clustering."""
 
 import itertools
+import re
 import sys
 import tracemalloc
 
@@ -146,6 +147,32 @@ def test_spectral_config_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError, match="^sigma must be a finite positive number or 'median'"):
         SpectralConfig(sigma=sigma)
     assert SpectralConfig(sigma=np.float32(0.5)).sigma == np.float32(0.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SpectralConfig(laplacian="bogus"),
+         f"unknown laplacian kind 'bogus'; expected one of {LAPLACIAN_KINDS}"),
+        (lambda: ClusterAssignment([0, 2], 2, np.zeros((2, 1)), 0.0), "labels must lie in [0, 2)"),
+        (lambda: eigengap_suggest_k([1.0, 0.0], 3), "eigenvalues must be ascending"),
+        (lambda: eigengap_suggest_k([0.0, 1.0], 0), "k_max must be positive, got 0"),
+    ],
+    ids=["unknown_laplacian", "label_out_of_range", "descending", "k_max_zero"],
+)
+def test_bad_argument_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_laplacian_checks_its_kind_before_the_matrix(monkeypatch):
+    def checked(*args):
+        raise AssertionError("the matrix was checked before the kind")
+
+    monkeypatch.setattr("epiclust.cluster.check_symmetric", checked)
+    message = f"unknown laplacian kind 'bogus'; expected one of {LAPLACIAN_KINDS}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        laplacian(np.zeros((2, 2)), "bogus")
 
 
 def test_kmeans_config_accepts_numpy_scalars():
@@ -334,7 +361,7 @@ def test_exact_tie_goes_to_the_first_centroid():
     assert gram[0].argmin() == 1  # the case the screen exists for
     sq_norms = (points * points).sum(axis=1)
     labels, totals = _assign([points], sq_norms[None], np.sqrt(sq_norms.max(keepdims=True)),
-                            centroids[None], [(0, slice(0, 1))])
+                            centroids[None], np.zeros(1, np.intp))
     assert labels.tolist() == [[0, 0]]
     assert totals.tolist() == [0.0625 + 0.5625]
 
@@ -350,7 +377,7 @@ def test_screen_band_is_sized_per_restart():
     assert gram[0].argmin() == 1
     sq_norms = (points * points).sum(axis=1)
     labels, totals = _assign([points], sq_norms[None], np.sqrt(sq_norms.max(keepdims=True)),
-                            centroids, [(0, slice(0, len(centroids)))])
+                            centroids, np.zeros(len(centroids), np.intp))
     assert labels.tolist() == [[0], [0]]
     assert totals.tolist() == [1.0, 99999997.75**2]
 
@@ -365,7 +392,7 @@ def test_gram_entry_that_overflows_is_re_scored():
     assert np.isfinite(exact).all() and exact.argmin() == 1
     sq_norms = (points * points).sum(axis=1)
     labels, totals = _assign([points], sq_norms[None], np.sqrt(sq_norms.max(keepdims=True)),
-                            centroids, [(0, slice(0, len(centroids)))])
+                            centroids, np.zeros(len(centroids), np.intp))
     assert labels.tolist() == [[1]]
     assert totals.tolist() == [exact[1]]
 
@@ -535,7 +562,7 @@ def _seeding_rows(pts, centers):
     sq_norms = (pts * pts).sum(axis=1)
     gram = np.full((len(centers), n), np.inf)
     for c in centers.T:
-        one = _gram([pts], sq_norms[None], pts[c][:, None], sq_norms[c][:, None], [(0, slice(0, len(c)))])
+        one = _gram([pts], sq_norms[None], pts[c][:, None], sq_norms[c][:, None], np.zeros(len(c), np.intp))
         gram = np.minimum(gram, np.maximum(one[:, 0], 0.0))
     exact = np.array([((pts[:, None, :] - pts[row]) ** 2).sum(axis=2).min(axis=1) for row in centers])
     return gram, exact, _gram_band(d, 2.0 * np.sqrt(sq_norms.max()))
@@ -824,8 +851,7 @@ def test_screen_band_is_sized_by_each_windows_own_rows():
     gram = (big**2).sum(1)[:, None] - 2.0 * big @ near.T + (near**2).sum(1)
     assert gram[0].argmin() == 1  # the case the screen exists for
     assert _reference_assign(big, near)[0].tolist() == [0]
-    runs = [(0, slice(0, 1)), (1, slice(1, 2))]
-    labels, totals = _assign(windows, sq_norms, x_norms, centroids, runs)
+    labels, totals = _assign(windows, sq_norms, x_norms, centroids, np.arange(2))
     assert labels.tolist() == [[0], [0]]
     assert totals[1] == _sq_dists(big, near[:1])[0, 0]
 

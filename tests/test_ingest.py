@@ -12,6 +12,7 @@ import pytest
 from epiclust.cli import main
 from epiclust.ingest import (
     EpicurveMatrix,
+    FeatureTable,
     IngestError,
     _cell_error,
     _read_table,
@@ -40,6 +41,7 @@ def make_matrix(n_regions=3, n_days=5, start=D0, populations=None, seed=0):
 
 def write_csv(path, lines):
     path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def test_load_epicurves_well_formed(tmp_path):
@@ -613,3 +615,35 @@ def test_unlocated_refusal_names_the_file(tmp_path, monkeypatch, capsys):
         load_epicurves(path)
     assert main(["cluster", "--input", str(path), "--k", "2", "--out", str(tmp_path / "out")]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: EpicurveMatrix(("a",), (D0,), np.zeros(1)), "values must be 2-D, got shape (1,)"),
+        (lambda tmp: EpicurveMatrix(("a", "b"), (D0,), np.zeros((1, 1))), "2 region names for 1 value rows"),
+        (lambda tmp: EpicurveMatrix(("a",), (D0, D0 + datetime.timedelta(days=1)), np.zeros((1, 1))),
+         "2 dates for 1 value columns"),
+        (lambda tmp: EpicurveMatrix((), (), np.zeros((0, 0))),
+         "matrix must have at least one region and one day"),
+        (lambda tmp: make_matrix(populations=[1, 2]), "populations shape (2,) does not match 3 regions"),
+        (lambda tmp: make_matrix().with_values(np.zeros((3, 4))),
+         "replacement values shape (3, 4) != (3, 5)"),
+        (lambda tmp: FeatureTable(("a",), ("f", "g"), np.zeros((1, 1))),
+         "feature values shape (1, 1) does not match 1 regions x 2 features"),
+        (lambda tmp: FeatureTable(("a",), ("f",), [[np.nan]]), "missing value for region 'a', feature 'f'"),
+        (lambda tmp: load_epicurves(write_csv(tmp / "epi.csv", ["region,2020-11-15,day2", "a,1,2"])),
+         "header column 3 is not an ISO date: 'day2'"),
+        (lambda tmp: load_epicurves(write_csv(tmp / "epi.csv", ["region,2020-11-15", "a,1"]),
+                                    write_csv(tmp / "pop.csv", ["region,persons", "a,100"])),
+         "expected header 'region,population'"),
+        (lambda tmp: split_windows(make_matrix(), 0), "window_len must be positive, got 0"),
+        (lambda tmp: write_populations(make_matrix(), tmp / "pop.csv"), "matrix carries no populations"),
+    ],
+    ids=["values_not_2d", "name_count", "date_count", "empty", "populations_shape", "with_values_shape",
+         "feature_shape", "feature_nan", "header_not_a_date", "population_header", "window_len_zero",
+         "no_populations_to_write"],
+)
+def test_bad_input_raises(tmp_path, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(tmp_path)

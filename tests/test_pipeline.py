@@ -4,6 +4,7 @@ import datetime
 import inspect
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +206,28 @@ def test_unknown_technique_named_before_clustering(monkeypatch, preps, algos, ki
     message = f"unknown {kind} 'bogus'; expected one of {known}"
     with pytest.raises(ValueError, match=re.escape(message)):
         temporal_stability(fix.epicurves, preps, algos, 2)
+
+
+def test_population_prep_without_populations_raises_before_clustering(monkeypatch):
+    monkeypatch.setattr("epiclust.pipeline._cluster_windows", _no_clustering)
+    fix = generate_fixture(10, 60, 2, seed=1)
+    bare = replace(fix.epicurves, populations=None)
+    message = "population normalization requires per-region populations"
+    with pytest.raises(ValueError, match=message):
+        temporal_stability(bare, ["none", "population"], ALGORITHMS, 2)
+    with pytest.raises(ValueError, match=message):
+        feature_association(bare, fix.features, ("population", "kmeans"), 2)
+
+
+def test_unknown_algorithm_in_chosen_raises():
+    fix = generate_fixture(10, 60, 2, seed=1)
+    message = f"unknown algorithm 'bogus'; expected one of {ALGORITHMS}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        feature_association(fix.epicurves, fix.features, ("none", "bogus"), 2)
+
+
+def test_one_window_has_no_off_diagonal_cost():
+    assert stability_record("none", "kmeans", [[0.0]]).mean_offdiag == 0.0
 
 
 def test_full_series_scope_windows_slice_the_whole_series():

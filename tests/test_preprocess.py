@@ -102,6 +102,12 @@ def test_minmax_global():
     assert single.values.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
 
+@pytest.mark.parametrize("scale, name", [(minmax_rows, "minmax_row"), (minmax_global, "minmax_global")])
+def test_minmax_rejects_negative_values(scale, name):
+    with pytest.raises(ValueError, match=f"^{name} expects non-negative values$"):
+        scale(matrix([[1, -1]]))
+
+
 def test_minmax_global_all_zero_errors():
     with pytest.raises(ValueError, match="all-zero"):
         minmax_global(matrix([[0, 0], [0, 0]]))

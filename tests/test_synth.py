@@ -70,3 +70,9 @@ def test_written_fixture_reparses(tmp_path):
 def test_generate_fixture_validation():
     with pytest.raises(ValueError, match="below k_true"):
         generate_fixture(2, 30, 3)
+
+
+@pytest.mark.parametrize("k_true, n_days", [(0, 30), (2, 0)])
+def test_generate_fixture_needs_positive_sizes(k_true, n_days):
+    with pytest.raises(ValueError, match="^k_true and n_days must be positive$"):
+        generate_fixture(3, n_days, k_true)
