@@ -34,15 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from .align import BASELINE_MODES, METRICS, balance_check
-from .cluster import ALGORITHMS, LAPLACIAN_KINDS, KMeansConfig, SpectralConfig, _check_k
+from .cluster import ALGORITHMS, LAPLACIAN_KINDS, KMeansConfig, SpectralConfig, _check_k, _cluster_windows
 from .ingest import IngestError, _write_table, load_epicurves, load_features
-from .pipeline import (
-    PREP_SCOPES,
-    _cluster_windows,
-    feature_association,
-    select_technique,
-    temporal_stability,
-)
+from .pipeline import PREP_SCOPES, feature_association, select_technique, temporal_stability
 from .preprocess import PREPROCESS_KINDS, apply_preprocess
 from .synth import generate_fixture, write_fixture
 
@@ -64,7 +58,8 @@ def _heat_color(value, lo, hi):
 
 
 def svg_heatmap(matrix, row_labels, col_labels, path, title="") -> None:
-    """Render a labeled heatmap as a small self-contained SVG."""
+    """Render a labeled heatmap as a small self-contained SVG, its text XML-escaped."""
+    from xml.sax.saxutils import escape  # here, as it loads urllib.request: about 7 MiB of RSS
     matrix = np.asarray(matrix, dtype=float)
     n_rows, n_cols = matrix.shape
     cell, left, top = 56, 110, 48
@@ -74,17 +69,17 @@ def svg_heatmap(matrix, row_labels, col_labels, path, title="") -> None:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="sans-serif" font-size="11">',
-        f'<text x="{left}" y="16" font-size="13">{title}</text>' if title else "",
+        f'<text x="{left}" y="16" font-size="13">{escape(title)}</text>' if title else "",
     ]
     for j, label in enumerate(col_labels):
         parts.append(
             f'<text x="{left + j * cell + cell // 2}" y="{top - 8}" '
-            f'text-anchor="middle">{label}</text>'
+            f'text-anchor="middle">{escape(label)}</text>'
         )
     for i, label in enumerate(row_labels):
         parts.append(
             f'<text x="{left - 6}" y="{top + i * cell + cell // 2 + 4}" '
-            f'text-anchor="end">{label}</text>'
+            f'text-anchor="end">{escape(label)}</text>'
         )
         for j in range(n_cols):
             v = matrix[i, j]
@@ -113,14 +108,6 @@ def _solver_configs(args):
     """The k-means and spectral configs that the solver flags describe."""
     km = KMeansConfig(args.epsilon, args.max_iters, args.restarts, args.seed)
     return km, SpectralConfig(args.sigma, args.laplacian)
-
-
-def _technique(args):
-    """The one (prep, algo) pair that ``cluster`` and ``associate`` run."""
-    for flag, names in (("--prep", args.prep), ("--algo", args.algo)):
-        if len(names) != 1:
-            raise IngestError(f"{flag} takes exactly one name for this subcommand, got {names}")
-    return args.prep[0], args.algo[0]
 
 
 def _epicurves(args):
@@ -156,7 +143,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    prep, algo = _technique(args)
+    (prep,), (algo,) = args.prep, args.algo
     m = _epicurves(args)
     points = apply_preprocess(m, prep).values
     assignment = _cluster_windows([points], algo, args.k, *_solver_configs(args))[0]
@@ -239,13 +226,12 @@ def cmd_stability(args) -> int:
 
 
 def cmd_associate(args) -> int:
-    chosen = _technique(args)
     m = _epicurves(args)
     if args.features is None:
         raise IngestError("associate requires --features")
     table = load_features(args.features, m)
     report = feature_association(
-        m, table, chosen, args.k, *_solver_configs(args),
+        m, table, (*args.prep, *args.algo), args.k, *_solver_configs(args),
         trials=args.trials,
         seed=args.seed,
         window_len=args.window_len,
@@ -309,14 +295,17 @@ def cmd_associate(args) -> int:
 # argument parsing
 
 
-def _names(choices):
-    """An argparse type: a comma-separated list of distinct names drawn from ``choices``."""
+def _names(choices, many):
+    """An argparse type: a comma-separated list of distinct names drawn from
+    ``choices``, of one name only unless ``many``."""
     def names(text):
         picked = tuple(n.strip() for n in text.split(",") if n.strip())
         if not picked or not set(picked) <= set(choices):
             raise argparse.ArgumentTypeError(f"{text!r}: expected names from {', '.join(choices)}")
         if len(set(picked)) < len(picked):
             raise argparse.ArgumentTypeError(f"{text!r}: each name may appear only once")
+        if len(picked) > 1 and not many:
+            raise argparse.ArgumentTypeError(f"{text!r}: this subcommand takes exactly one name")
         return picked
     return names
 
@@ -362,10 +351,10 @@ def _add_study_flags(p, command):
         table[action.dest] = action
 
     listed = "a comma-separated list of" if many else "one of"
-    setting(schema, "--prep", type=_names(PREPROCESS_KINDS),
+    setting(schema, "--prep", type=_names(PREPROCESS_KINDS, many),
             default=",".join(PREPROCESS_KINDS) if many else "none",
             help=f"preprocessing, {listed} {', '.join(PREPROCESS_KINDS)}")
-    setting(schema, "--algo", type=_names(ALGORITHMS),
+    setting(schema, "--algo", type=_names(ALGORITHMS, many),
             default=",".join(ALGORITHMS) if many else "spectral",
             help=f"clustering algorithm, {listed} {', '.join(ALGORITHMS)}")
     setting(schema, "--k", type=int, default=3, help="number of clusters")

@@ -22,18 +22,19 @@ frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
 
 Restart r draws its RNG stream from (seed, r) and follows its own trajectory,
 so results do not depend on evaluation order: run in lockstep, each restart
-makes the same draws and reaches the same partition as when run alone. The
-studies cluster all windows of a technique in one ``_kmeans_windows`` call
-(for spectral, on the windows' embeddings), whose lockstep unit is a (window,
-restart) pair that carries its window index; only the BLAS product, the row
-gathers and the difference-form blocks group pairs into runs that share a
-window. Each window's result equals ``kmeans`` of it alone, the one-window
-case. k-means++ seeding takes each restart's weights in the Gram form, one
-BLAS product per center index, and keeps a draw only where the rounding bound
-certifies that the difference-form weights give the same index; any other
-restart draws from its difference-form row with the same random number. The
-exact (difference-form) inertia is taken once per distinct final state. Every
-difference-form distance, in k-means and in ``rbf_affinity``, comes from
+makes the same draws and reaches the same partition as when run alone.
+``_cluster_windows`` runs the ``ALGORITHMS`` name it is given on all windows
+of a technique in one ``_kmeans_windows`` call (for spectral, on the windows'
+embeddings), whose lockstep unit is a (window, restart) pair that carries its
+window index; only the BLAS product, the row gathers and the difference-form
+blocks group pairs into runs that share a window. Each window's result equals
+``kmeans`` of it alone, the one-window case. k-means++ seeding takes each
+restart's weights in the Gram form, one BLAS product per center index, and
+keeps a draw only where the rounding bound certifies that the difference-form
+weights give the same index; any other restart draws from its difference-form
+row with the same random number. The exact (difference-form) inertia is taken
+once per distinct final state. Every difference-form distance, in k-means, in
+``rbf_affinity`` and in the inertia of ``cluster_scalar_feature``, comes from
 ``_sq_dists``: (restarts, rows, d) blocks of bounded size, each distance one
 sum over its row's d contiguous values, so it equals the one-centroid value
 bit for bit. Only ``inertia_history`` entries before the last (Gram-form
@@ -667,6 +668,18 @@ def spectral_cluster(
     return spectral_from_affinity(rbf_affinity(points, cfg.sigma), k, cfg, kmeans_cfg)
 
 
+def _cluster_windows(windows, algo, k, kmeans_cfg, spectral_cfg) -> list[ClusterAssignment]:
+    """The ``ALGORITHMS`` name ``algo`` on every window, with one lockstep k-means
+    over the day vectors (``kmeans``) or the spectral embeddings (``spectral``):
+    each result equals ``kmeans`` or ``spectral_cluster`` of its window alone."""
+    if algo == "kmeans":
+        return _kmeans_windows(windows, k, kmeans_cfg)
+    if algo == "spectral":
+        affinities = (rbf_affinity(points, spectral_cfg.sigma) for points in windows)
+        return _spectral_from_affinities(affinities, k, spectral_cfg, kmeans_cfg)
+    raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+
+
 def _leftmost_splits(prev, sums, weights, rows, lo, hi):
     """Per row r of ``rows``, the least prev[t] - (sums[r] - sums[t])^2 /
     (weights[r] - weights[t]) over t in [lo, hi], and the leftmost t that
@@ -704,7 +717,7 @@ def cluster_scalar_feature(values, k: int) -> ClusterAssignment:
     may miss the optimum.
 
     Centroids are member means, each summed in region order, and the
-    inertia is summed in the difference form, as ``kmeans`` computes them.
+    inertia is the sum of ``_sq_dists``, as ``kmeans`` computes them.
     When k exceeds m, each distinct value is its own cluster, labels
     m .. k - 1 are unused and their centroids are nan. Non-finite values
     raise ``ValueError``, as do values whose squared deviations overflow.
@@ -715,8 +728,8 @@ def cluster_scalar_feature(values, k: int) -> ClusterAssignment:
     centroids = np.full((k, 1), np.nan)
     for c in np.flatnonzero(sizes).tolist():
         centroids[c, 0] = np.add.reduce(values[labels == c]) / sizes[c]
-    dev = values - centroids[labels, 0]
-    return ClusterAssignment(labels, k, centroids, float((dev * dev).sum()))
+    inertia = _sq_dists(values[:, None], centroids[None], labels[None]).sum()
+    return ClusterAssignment(labels, k, centroids, float(inertia))
 
 
 def _scalar_features(values, k: int) -> np.ndarray:

@@ -6,7 +6,9 @@ window clusterings. ``select_technique`` picks, among the pairs with the
 fewest degenerate (single-dominant-cluster) windows, the one whose clusters
 are the most stable in time. ``feature_association`` then scores every
 scalar feature against the per-window epidemic clusters of the chosen
-technique, with a seeded Monte Carlo random-label null per cell.
+technique, with a seeded Monte Carlo random-label null per cell. Both
+studies check every setting, the shared ones in ``_check_study``, before
+any window is split, preprocessed or clustered.
 """
 
 from __future__ import annotations
@@ -30,14 +32,11 @@ from .align import (
 )
 from .cluster import (
     ALGORITHMS,
-    ClusterAssignment,
     KMeansConfig,
     SpectralConfig,
     _check_k,
-    _kmeans_windows,
+    _cluster_windows,
     _scalar_features,
-    _spectral_from_affinities,
-    rbf_affinity,
 )
 from .ingest import EpicurveMatrix, FeatureTable, split_windows
 from .preprocess import PREPROCESS_KINDS, apply_preprocess
@@ -97,19 +96,6 @@ class AssociationReport:
         return self.cells[self.feature_names.index(feature) * self.window_count + window]
 
 
-def _cluster_windows(windows, algo, k, kmeans_cfg, spectral_cfg) -> list[ClusterAssignment]:
-    """Every window, with one lockstep k-means over all of them: on the day
-    vectors for ``kmeans``, on the spectral embeddings for ``spectral``. Each
-    result equals ``kmeans`` or ``spectral_cluster`` of its window alone, bit
-    for bit."""
-    if algo == "kmeans":
-        return _kmeans_windows(windows, k, kmeans_cfg)
-    if algo == "spectral":
-        affinities = (rbf_affinity(points, spectral_cfg.sigma) for points in windows)
-        return _spectral_from_affinities(affinities, k, spectral_cfg, kmeans_cfg)
-    raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-
-
 def _in_order(names, known, kind):
     """``names`` in the order of ``known``; an unknown name raises, naming ``known``."""
     if unknown := [name for name in names if name not in known]:
@@ -117,10 +103,29 @@ def _in_order(names, known, kind):
     return sorted(names, key=known.index)
 
 
-def _prepared_windows(m, prep, window_len, prep_scope) -> list[np.ndarray]:
-    """The windows' value arrays, preprocessed per window or over the full series."""
+def _check_study(m, preps, algos, k, metric, balance_threshold, window_len, prep_scope, windows):
+    """Raise for the first bad setting of a study of ``windows`` or more windows,
+    before any window is split; else return ``preps`` and ``algos`` in the
+    order of ``PREPROCESS_KINDS`` and ``ALGORITHMS``."""
+    _check_k(k, m.n_regions)
+    _check_align(k, metric)
+    _check_fraction(balance_threshold, "balance_threshold")
+    preps = _in_order(preps, PREPROCESS_KINDS, "preprocessing kind")
+    algos = _in_order(algos, ALGORITHMS, "algorithm")
+    if "population" in preps and m.populations is None:
+        raise ValueError("population normalization requires per-region populations")
     if prep_scope not in PREP_SCOPES:
         raise ValueError(f"unknown prep scope {prep_scope!r}; expected one of {PREP_SCOPES}")
+    if window_len < 1:
+        raise ValueError(f"window_len must be positive, got {window_len}")
+    if m.n_days < windows * window_len:
+        raise ValueError(f"{m.n_days} days hold {m.n_days // window_len} window(s) of {window_len}; "
+                         f"the study needs at least {windows}")
+    return preps, algos
+
+
+def _prepared_windows(m, prep, window_len, prep_scope) -> list[np.ndarray]:
+    """The windows' value arrays, preprocessed per window or over the full series."""
     if prep_scope == "full_series":
         return [w.values for w in split_windows(apply_preprocess(m, prep), window_len)]
     return [apply_preprocess(w, prep).values for w in split_windows(m, window_len)]
@@ -148,18 +153,7 @@ def temporal_stability(
     ``PREPROCESS_KINDS`` and ``ALGORITHMS``, whatever the order of ``preps``
     and ``algos``, so the selection and the reports do not depend on it.
     """
-    _check_k(k, m.n_regions)  # every setting before any window is clustered
-    _check_align(k, metric)
-    _check_fraction(balance_threshold, "balance_threshold")
-    preps = _in_order(preps, PREPROCESS_KINDS, "preprocessing kind")
-    algos = _in_order(algos, ALGORITHMS, "algorithm")
-    if "population" in preps and m.populations is None:
-        raise ValueError("population normalization requires per-region populations")
-    if m.n_days < 2 * window_len:
-        raise ValueError(
-            f"{m.n_days} days yield fewer than 2 windows of {window_len}; "
-            "cross-window comparison needs at least 2"
-        )
+    preps, algos = _check_study(m, preps, algos, k, metric, balance_threshold, window_len, prep_scope, 2)
     results = []
     for prep in preps:
         windows = _prepared_windows(m, prep, window_len, prep_scope)
@@ -222,16 +216,15 @@ def feature_association(
     the feature (RNG keyed per (seed, window, feature) cell), so deviation
     = SM2 - SM1 measures how far above chance the agreement is.
     """
-    _check_k(k, m.n_regions)  # every setting before any window is clustered
-    _check_align(k, metric)
-    _check_fraction(balance_threshold, "balance_threshold")
+    # chosen's one prep and one algorithm, checked as one-name lists
+    (prep,), (algo,) = _check_study(m, chosen[:1], chosen[1:], k, metric, balance_threshold,
+                                    window_len, prep_scope, 1)
     _check_null(trials, baseline_mode)
     if f.region_names != m.region_names:
         raise ValueError(
             "feature table regions are not aligned with the epicurve matrix; "
             "load them via load_features"
         )
-    prep, algo = chosen
     windows = _prepared_windows(m, prep, window_len, prep_scope)
     epidemic = _cluster_windows(windows, algo, k, kmeans_cfg, spectral_cfg)
     features = _scalar_features(f.values, k)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import asdict
 from pathlib import Path
 
@@ -117,6 +118,22 @@ def test_associate_file_contract(fixture_dir, tmp_path):
             assert dev[f] > best_noise
 
 
+def test_heatmap_labels_keep_xml_special_characters(fixture_dir, tmp_path):
+    """A feature name from the features.csv header is XML-escaped in the SVG,
+    which then parses and gives the name back."""
+    header, *rows = (fixture_dir / "features.csv").read_text().splitlines(keepends=True)
+    names = header.rstrip("\n").split(",")
+    features = tmp_path / "features.csv"
+    features.write_text(",".join([*names[:-1], "R&D <share>"]) + "\n" + "".join(rows))
+    out = tmp_path / "out"
+    assert run(["associate", "--input", fixture_dir / "epicurves.csv", "--features", features,
+                "--prep", "none", "--algo", "kmeans", "--trials", "5", "--out", out,
+                "--heatmap"]) == 0
+    root = ET.parse(out / "association_deviation.svg").getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "R&D <share>" in texts and names[-2] in texts
+
+
 def test_associate_requires_features(fixture_dir, tmp_path, capsys):
     code = run(["associate", "--input", fixture_dir / "epicurves.csv", "--out", tmp_path])
     assert code == 2
@@ -224,10 +241,17 @@ def test_matrix_csv_roundtrip(tmp_path):
 def test_single_technique_rejects_name_list(fixture_dir, tmp_path, capsys, command, flag, names):
     out = tmp_path / "out"
     features = ["--features", fixture_dir / "features.csv"] if command == "associate" else []
-    code = run([command, "--input", fixture_dir / "epicurves.csv", *features,
-                flag, names, "--out", out])
-    assert code == 2
-    assert f"{flag} takes exactly one name" in capsys.readouterr().err
+    argv = [command, "--input", fixture_dir / "epicurves.csv", *features, "--out", out]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, flag, names])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {names!r}: this subcommand takes exactly one name" in err
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: names}))
+    assert run([*argv, "--config", cfg]) == 2
+    assert f"config key {flag[2:]!r}: {names!r}: this subcommand takes exactly one name" in capsys.readouterr().err
     assert not out.exists()
 
 

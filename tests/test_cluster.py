@@ -11,6 +11,7 @@ import pytest
 
 from epiclust.align import best_permutation_dissimilarity
 from epiclust.cluster import (
+    ALGORITHMS,
     BLOCK_BYTES,
     KMEANS_GROUP_BYTES,
     KMEANS_JOIN_BYTES,
@@ -21,6 +22,7 @@ from epiclust.cluster import (
     _assign,
     _cdf_picks,
     _check_k,
+    _cluster_windows,
     _gram,
     _gram_band,
     _kmeans_windows,
@@ -157,8 +159,10 @@ def test_spectral_config_rejects_bad_sigma(sigma):
         (lambda: ClusterAssignment([0, 2], 2, np.zeros((2, 1)), 0.0), "labels must lie in [0, 2)"),
         (lambda: eigengap_suggest_k([1.0, 0.0], 3), "eigenvalues must be ascending"),
         (lambda: eigengap_suggest_k([0.0, 1.0], 0), "k_max must be positive, got 0"),
+        (lambda: _cluster_windows([np.zeros((3, 2))], "bogus", 2, KMeansConfig(), SpectralConfig()),
+         f"unknown algorithm 'bogus'; expected one of {ALGORITHMS}"),
     ],
-    ids=["unknown_laplacian", "label_out_of_range", "descending", "k_max_zero"],
+    ids=["unknown_laplacian", "label_out_of_range", "descending", "k_max_zero", "unknown_algorithm"],
 )
 def test_bad_argument_raises(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -1306,6 +1310,25 @@ def test_scalar_feature_sse_is_never_above_kmeans():
         k = int(rng.integers(1, min(n, 6) + 1))
         km = kmeans(values, k, KMeansConfig(seed=int(rng.integers(1000))))
         assert cluster_scalar_feature(values, k).inertia <= km.inertia
+
+
+def test_scalar_feature_inertia_equals_the_summed_squared_deviations():
+    # the _sq_dists inertia equals sum((x - c)^2) over the values, bit for bit
+    rng = np.random.default_rng(17)
+    draws = {
+        "normal": lambda n: rng.normal(size=n),
+        "lognormal": lambda n: rng.lognormal(0.0, 2.0, n),
+        "few_distinct": lambda n: rng.integers(0, 4, n).astype(float),
+        "offset": lambda n: 1e7 + rng.normal(size=n),
+    }
+    for name, draw in draws.items():
+        for n in (1, 2, 7, 60, 3142):
+            for scale in (1e-8, 1.0, 1e8):
+                values = scale * draw(n)
+                k = int(rng.integers(1, min(n, 8) + 1))
+                found = cluster_scalar_feature(values, k)
+                dev = values - found.centroids[found.labels, 0]
+                assert found.inertia == float((dev * dev).sum()), (name, n, scale, k)
 
 
 def test_scalar_feature_row_permutation_keeps_each_region_label():

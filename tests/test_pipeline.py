@@ -156,8 +156,14 @@ def test_association_cells_equal_per_pair_alignment(monkeypatch):
                     assert report.cell(feature, w).alignment == expected
 
 
-def _no_clustering(*args):
-    raise AssertionError("clustered before the settings were checked")
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every step after the settings check raises: splitting, preprocessing, clustering."""
+    def no_work(*args):
+        raise AssertionError("worked on a window before the settings were checked")
+
+    for step in ("split_windows", "apply_preprocess", "_prepared_windows", "_cluster_windows"):
+        monkeypatch.setattr(f"epiclust.pipeline.{step}", no_work)
 
 
 @pytest.mark.parametrize(
@@ -170,10 +176,14 @@ def _no_clustering(*args):
         ({"trials": 0}, "trials must be positive, got 0"),
         ({"balance_threshold": 0.0}, "balance_threshold must lie in (0, 1], got 0.0"),
         ({"balance_threshold": 1.5}, "balance_threshold must lie in (0, 1], got 1.5"),
+        # the series is split after a full-series preprocessing: the window
+        # count is checked before either
+        ({"window_len": 0, "prep_scope": "full_series"}, "window_len must be positive, got 0"),
+        ({"window_len": 200, "prep_scope": "full_series"},
+         "60 days hold 0 window(s) of 200; the study needs at least"),
     ],
 )
-def test_unknown_setting_raises_before_clustering(monkeypatch, setting, message):
-    monkeypatch.setattr("epiclust.pipeline._cluster_windows", _no_clustering)
+def test_unknown_setting_raises_before_clustering(no_work, setting, message):
     fix = generate_fixture(10, 60, 2, seed=1)
     if set(setting) <= set(inspect.signature(temporal_stability).parameters):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -184,8 +194,7 @@ def test_unknown_setting_raises_before_clustering(monkeypatch, setting, message)
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 @pytest.mark.parametrize("k, message", [(0, "k must be positive, got 0"), (11, "k=11 exceeds the 10 observations")])
-def test_out_of_range_k_raises_before_clustering(monkeypatch, algo, k, message):
-    monkeypatch.setattr("epiclust.pipeline._cluster_windows", _no_clustering)
+def test_out_of_range_k_raises_before_clustering(no_work, algo, k, message):
     fix = generate_fixture(10, 60, 2, seed=1)
     with pytest.raises(ValueError, match=re.escape(message)):
         temporal_stability(fix.epicurves, ["none"], [algo], k)
@@ -200,16 +209,16 @@ def test_out_of_range_k_raises_before_clustering(monkeypatch, algo, k, message):
         (["none"], ["bogus"], "algorithm", ALGORITHMS),
     ],
 )
-def test_unknown_technique_named_before_clustering(monkeypatch, preps, algos, kind, known):
-    monkeypatch.setattr("epiclust.pipeline._cluster_windows", _no_clustering)
+def test_unknown_technique_named_before_clustering(no_work, preps, algos, kind, known):
     fix = generate_fixture(10, 60, 2, seed=1)
     message = f"unknown {kind} 'bogus'; expected one of {known}"
     with pytest.raises(ValueError, match=re.escape(message)):
         temporal_stability(fix.epicurves, preps, algos, 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        feature_association(fix.epicurves, fix.features, (*preps, *algos), 2)
 
 
-def test_population_prep_without_populations_raises_before_clustering(monkeypatch):
-    monkeypatch.setattr("epiclust.pipeline._cluster_windows", _no_clustering)
+def test_population_prep_without_populations_raises_before_clustering(no_work):
     fix = generate_fixture(10, 60, 2, seed=1)
     bare = replace(fix.epicurves, populations=None)
     message = "population normalization requires per-region populations"
