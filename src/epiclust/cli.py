@@ -227,8 +227,6 @@ def cmd_stability(args) -> int:
 
 def cmd_associate(args) -> int:
     m = _epicurves(args)
-    if args.features is None:
-        raise IngestError("associate requires --features")
     table = load_features(args.features, m)
     report = feature_association(
         m, table, (*args.prep, *args.algo), args.k, *_solver_configs(args),
@@ -342,7 +340,7 @@ def _add_study_flags(p, command):
     p.add_argument("--input", required=True, help="epicurve CSV (region,<ISO dates...>)")
     p.add_argument("--populations", help="population CSV (region,population)")
     if associate:
-        p.add_argument("--features", help="feature CSV (region,<feature names...>)")
+        p.add_argument("--features", required=True, help="feature CSV (region,<feature names...>)")
     p.add_argument("--config", help="JSON config file; CLI flags override its keys")
     schema, km, sp = {"kmeans": {}, "spectral": {}}, KMeansConfig(), SpectralConfig()
 

@@ -22,7 +22,12 @@ frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
 
 Restart r draws its RNG stream from (seed, r) and follows its own trajectory,
 so results do not depend on evaluation order: run in lockstep, each restart
-makes the same draws and reaches the same partition as when run alone.
+makes the same draws and reaches the same partition as when run alone. Work is
+done once per thing it depends on: each restart's stream once per
+``_kmeans_windows`` call, read by every pair of that restart (a pair whose
+seeding total is 0 replays it on its own stream); each step's centroid sum once
+per distinct (window, member set); the exact inertia once per final state up
+to the numbering of its clusters.
 ``_cluster_windows`` runs the ``ALGORITHMS`` name it is given on all windows
 of a technique in one ``_kmeans_windows`` call (for spectral, on the windows'
 embeddings), whose lockstep unit is a (window, restart) pair that carries its
@@ -32,8 +37,7 @@ blocks group pairs into runs that share a window. Each window's result equals
 restart's weights in the Gram form, one BLAS product per center index, and
 keeps a draw only where the rounding bound certifies that the difference-form
 weights give the same index; any other restart draws from its difference-form
-row with the same random number. The exact (difference-form) inertia is taken
-once per distinct final state. Every difference-form distance, in k-means, in
+row with the same random number. Every difference-form distance, in k-means, in
 ``rbf_affinity`` and in the inertia of ``cluster_scalar_feature``, comes from
 ``_sq_dists``: (restarts, rows, d) blocks of bounded size, each distance one
 sum over its row's d contiguous values, so it equals the one-centroid value
@@ -53,7 +57,8 @@ LAPLACIAN_KINDS = ("unnormalized", "symmetric_normalized")
 # bytes; a group of at least one restart is always taken. At the peak of a
 # step a restart holds about n (11 k + 48) bytes (its (k, n) scores and masks
 # and a few (n,) rows), about five (k, d) centroid arrays (current, old, new
-# and the shift temporaries) and an RNG of about 2 KiB:
+# and the shift temporaries) and 2 KiB to spare, the size of the RNG a pair
+# holds once it replays its restart's stream (see ``_plusplus_seeds``):
 # 16 n (k + 4) + 48 k d + 2 KiB bounds that for every k and d.
 KMEANS_GROUP_BYTES = 4 * 2**20
 # Windows clustered together (``_kmeans_windows``) share a lockstep group while
@@ -330,20 +335,22 @@ def _cdf_picks(weights, totals, draws, slack):
     return np.where(totals > 0, high, draws).astype(np.intp), low == high
 
 
-def _weighted_draws(weights, rngs, error=None, exact=None):
-    """Per row j of ``weights``, the index ``rngs[j].choice(n, p=w / w.sum())``
-    draws, with the same stream use, where w is the exact row that
-    ``weights[j]`` approximates within ``error`` (or ``error[j]``) per entry
-    and ``exact(rows)`` returns the exact rows of the given row indices:
+def _weighted_draws(weights, draw, error=None, exact=None):
+    """Per row j of ``weights``, the index ``choice(n, p=w / w.sum())`` draws
+    from row j's stream, with the same stream use, where w is the exact row
+    that ``weights[j]`` approximates within ``error`` (or ``error[j]``) per
+    entry and ``exact(rows)`` returns the exact rows of the given row indices:
     numpy's own inverse CDF, batched over the rows, without ``choice``'s
-    per-call checks.
+    per-call checks. ``draw(totals)`` makes each row's draw from its stream
+    for the exact totals: ``random()`` where it is positive, else
+    ``integers(n)``; it is called once.
 
     A row whose total proves the exact total positive draws ``random()`` and
     keeps its index when the draw lies at least the slack beta from both CDF
     entries around it (see ``_GRAM_SLACK``); otherwise its exact row is
     searched with the same draw. Any other row (exact total possibly zero,
     or anything not finite) is replaced by its exact row before the draw. An
-    exact row has slack 0: a row of zeros draws ``integers(n)`` and a total
+    exact row has slack 0: a row of zeros takes its drawn integer and a total
     that is not finite raises ``ValueError``, as ``choice`` does."""
     n = weights.shape[1]
     totals = weights.sum(axis=1)
@@ -358,7 +365,7 @@ def _weighted_draws(weights, rngs, error=None, exact=None):
             weights = weights.copy()
             weights[unsure] = exact(unsure)
             totals[unsure], slack[unsure] = weights[unsure].sum(axis=1), 0.0
-    draws = np.array([rng.random() if t > 0 else rng.integers(n) for rng, t in zip(rngs, totals.tolist())])
+    draws = np.asarray(draw(totals), dtype=float)
     picks, sure = _cdf_picks(weights, totals, draws, slack)
     if not sure.all():
         redo = np.flatnonzero(~sure)
@@ -367,22 +374,50 @@ def _weighted_draws(weights, rngs, error=None, exact=None):
     return picks
 
 
-def _plusplus_seeds(points, k, rngs, sq_norms, x_norms, wins):
-    """k-means++ centroids, shape (len(rngs), k, d), one pair per RNG, pair j
-    seeding window ``points[wins[j]]`` (``wins`` sorted).
+def _restart_draws(seed, restarts, n, k):
+    """(restarts, k): row r holds what k-means++ seeding of n rows draws from
+    restart r's stream default_rng([seed, r]) while every total it draws
+    from is positive: ``integers(n)``, then k - 1 ``random()`` values."""
+    draws = np.empty((restarts, k))
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        draws[r, 0] = rng.integers(n)
+        draws[r, 1:] = rng.random(k - 1)
+    return draws
+
+
+def _plusplus_seeds(points, k, draws, seeds, sq_norms, x_norms, wins):
+    """k-means++ centroids, shape (len(wins), k, d), pair j seeding window
+    ``points[wins[j]]`` (``wins`` sorted).
 
     The pairs pick their centers in lockstep, one index at a time; each
-    draws from its own stream what a restart seeded alone draws with
-    ``integers`` and ``choice``. A pair's weights are its least Gram-form
-    distances to its centers so far, one BLAS product per center index and
-    window, clamped at 0; ``_weighted_draws`` keeps a draw only where the
-    rounding bound certifies it and otherwise draws from the difference-form
-    row, so every index equals the one the difference form draws. Nothing
-    reads the distances to the last center, so they are taken to centers
-    0 .. k - 2."""
+    makes the draws its restart makes seeded alone with ``integers`` and
+    ``choice``. Row j of ``draws`` holds what pair j's restart draws while
+    its totals are positive (``_restart_draws``), and ``seeds[j]`` seeds
+    that restart's stream. A pair reads its row until a total is 0, where
+    it draws ``integers(n)`` in place of ``random()``: it then replays its
+    row on its own stream and draws from that one on. A pair's weights are
+    its least Gram-form distances to its centers so far, one BLAS product
+    per center index and window, clamped at 0; ``_weighted_draws`` keeps a
+    draw only where the rounding bound certifies it and otherwise draws from
+    the difference-form row, so every index equals the one the difference
+    form draws. Nothing reads the distances to the last center, so they are
+    taken to centers 0 .. k - 2."""
     n, d = points[0].shape
-    picks = np.empty((len(rngs), k), dtype=np.intp)
-    picks[:, 0] = [rng.integers(n) for rng in rngs]
+    picks = np.empty((len(wins), k), dtype=np.intp)
+    picks[:, 0] = draws[:, 0]
+    own = {}  # pair -> its own stream, once a zero total has set it apart from its row
+
+    def draw(totals):  # draw i of each pair
+        out = draws[:, i].copy()
+        for j in {*np.flatnonzero(~(totals > 0)).tolist(), *own}:
+            if j not in own:
+                rng = own[j] = np.random.default_rng(seeds[j])
+                rng.integers(n)
+                rng.random(i - 1)  # the draws its row held
+            out[j] = own[j].random() if totals[j] > 0 else own[j].integers(n)
+        return out
+
     with np.errstate(over="ignore"):  # a band that overflows is inf and certifies no draw
         error = _gram_band(d, 2.0 * x_norms[wins])
 
@@ -400,28 +435,31 @@ def _plusplus_seeds(points, k, rngs, sq_norms, x_norms, wins):
             dists = _gram(points, sq_norms, centers, sq_norms[wins[:, None], last], wins)[:, 0]
             np.maximum(dists, 0.0, out=dists)
         d2 = dists if i == 1 else np.minimum(d2, dists, out=d2)
-        picks[:, i] = _weighted_draws(d2, rngs, error, exact)
+        picks[:, i] = _weighted_draws(d2, draw, error, exact)
     return _rows(points, picks, wins)
 
 
-def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms):
+def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms, draws):
     """Lloyd iterations of the given (window, restart) pairs in lockstep.
 
     ``points[w]`` is window w's (n, d) array, ``sq_norms[w]`` its rows'
     squared norms and ``x_norms[w]`` the largest row norm; ``pairs`` are
-    sorted by window. Each step assigns every live pair with one ``_assign``
-    call, one BLAS product per window; centroid updates stay per pair and
-    per cluster, on the pair's own window. A pair leaves when its labels
-    repeat after a step with no re-seed, when its centroids move less than
-    ``cfg.epsilon`` (one more assignment then gives its final labels) or at
-    ``cfg.max_iters``. Yields (labels, centroids, inertia, history) per pair,
-    in order, each equal bit for bit to a run of that restart alone on its
-    window: the exact inertia is taken once per distinct final state.
+    sorted by window. Row r of ``draws`` holds restart r's shared seeding
+    draws (``_restart_draws``), which every pair of that restart reads. Each
+    step assigns every live pair with one ``_assign`` call, one BLAS product
+    per window; each distinct (window, member mask) is then summed once, and
+    every (pair, cluster) that shares it copies the sum, which has the same
+    bits. A pair leaves when its labels repeat after a step with no re-seed,
+    when its centroids move less than ``cfg.epsilon`` (one more assignment
+    then gives its final labels) or at ``cfg.max_iters``. Yields (labels,
+    centroids, inertia, history) per pair, in order, each equal bit for bit
+    to a run of that restart alone on its window: the exact inertia is taken
+    once per distinct final state up to the numbering of its clusters.
     """
     n, g = points[0].shape[0], len(pairs)
     wins = np.array([w for w, _ in pairs], dtype=np.intp)
-    rngs = [np.random.default_rng([cfg.seed, r]) for _, r in pairs]
-    centroids = _plusplus_seeds(points, k, rngs, sq_norms, x_norms, wins)
+    seeds = [[cfg.seed, r] for _, r in pairs]
+    centroids = _plusplus_seeds(points, k, draws[[r for _, r in pairs]], seeds, sq_norms, x_norms, wins)
     histories = [[] for _ in range(g)]
     # live pair: last labels whose means fill every centroid, or -1; left: final labels
     last = np.full((g, n), -1, dtype=np.intp)
@@ -444,11 +482,16 @@ def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms):
         counts = members.sum(axis=2)
         old = centroids[live]
         new = old.copy()
+        summed = {}  # (window, member mask) -> the slot that holds its sum
         for w, masks, sums, row in zip(wins[live].tolist(), members, new, counts.tolist()):
             x = points[w]
             for mask, out, count in zip(masks, sums, row):
                 if count:
-                    np.add.reduce(x.compress(mask, axis=0), axis=0, out=out)
+                    held = summed.setdefault((w, mask.tobytes()), out)
+                    if held is out:
+                        np.add.reduce(x.compress(mask, axis=0), axis=0, out=out)
+                    else:
+                        out[...] = held
         filled = counts > 0
         # sum / count: bit-equal to .mean(axis=0), without its wrapper cost;
         # an empty cluster keeps its centroid until it is re-seeded below
@@ -466,7 +509,16 @@ def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms):
         shift = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
         centroids[live] = new
         stale[live] = shift < cfg.epsilon
-    keys = [(w, last[j].tobytes() + centroids[j].tobytes()) for j, w in enumerate(wins.tolist())]
+    # a final state up to numbering: its clusters ranked by their first row
+    # (unused ones last, by index), its labels renumbered by rank and its
+    # centroids put in rank order. A row's distance to its own centroid does
+    # not depend on the numbering, so neither does the exact inertia
+    first = np.where(last[:, None, :] == np.arange(k)[:, None], np.arange(n), n).min(axis=2) * k + np.arange(k)
+    rank = (first[:, None, :] < first[:, :, None]).sum(axis=2)
+    pair = np.arange(g)[:, None]
+    renumbered, ordered = rank[pair, last], np.empty_like(centroids)
+    ordered[pair, rank] = centroids
+    keys = [(w, renumbered[j].tobytes() + ordered[j].tobytes()) for j, w in enumerate(wins.tolist())]
     firsts = {}  # the first pair of each distinct final state
     for j, key in enumerate(keys):
         firsts.setdefault(key, j)
@@ -487,9 +539,10 @@ def _kmeans_windows(windows, k: int, cfg: KMeansConfig) -> list[ClusterAssignmen
 
     Windows whose restarts together fit in ``KMEANS_JOIN_BYTES`` share a
     group; a window too large for that runs alone, its restarts split into
-    groups that fit in ``KMEANS_GROUP_BYTES``. Each pair keeps the stream
-    and the trajectory of its restart run alone on its window, so each
-    result equals ``kmeans`` of that window bit for bit."""
+    groups that fit in ``KMEANS_GROUP_BYTES``. Each restart's seeding draws
+    are taken once per call (``_restart_draws``) for all its pairs; each pair
+    makes the draws and follows the trajectory of its restart run alone on
+    its window, so each result equals ``kmeans`` of that window bit for bit."""
     windows = [_as_points(points) for points in windows]
     n, d = windows[0].shape
     if any(points.shape != (n, d) for points in windows):
@@ -504,10 +557,11 @@ def _kmeans_windows(windows, k: int, cfg: KMeansConfig) -> list[ClusterAssignmen
     size = cfg.restarts if window_bytes <= KMEANS_JOIN_BYTES else max(1, KMEANS_GROUP_BYTES // restart_bytes)
     groups = [(range(w, min(w + joined, len(windows))), range(r, min(r + size, cfg.restarts)))
               for w in range(0, len(windows), joined) for r in range(0, cfg.restarts, size)]
+    draws = _restart_draws(cfg.seed, cfg.restarts, n, k)
     best = [None] * len(windows)
     for group_windows, restarts in groups:
         pairs = [(w, r) for w in group_windows for r in restarts]
-        for (w, _), result in zip(pairs, _lloyd_group(windows, k, cfg, pairs, sq_norms, x_norms)):
+        for (w, _), result in zip(pairs, _lloyd_group(windows, k, cfg, pairs, sq_norms, x_norms, draws)):
             if best[w] is None or result[2] < best[w][2]:
                 best[w] = result
     return [

@@ -135,9 +135,21 @@ def test_heatmap_labels_keep_xml_special_characters(fixture_dir, tmp_path):
 
 
 def test_associate_requires_features(fixture_dir, tmp_path, capsys):
-    code = run(["associate", "--input", fixture_dir / "epicurves.csv", "--out", tmp_path])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["associate", "--input", fixture_dir / "epicurves.csv", "--out", tmp_path])
+    assert exc.value.code == 2
     assert "--features" in capsys.readouterr().err
+
+
+def test_associate_without_features_exits_2_before_reading_the_input(tmp_path, capsys):
+    # argparse rejects the missing flag, so the input that does not exist is
+    # never opened and the error names --features, not the file
+    with pytest.raises(SystemExit) as exc:
+        run(["associate", "--input", tmp_path / "missing.csv", "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--features" in err and "missing.csv" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_byte_identical_reruns(fixture_dir, tmp_path):
@@ -541,7 +553,8 @@ FED_KEYWORDS = {
     [("cluster", None), ("stability", temporal_stability), ("associate", feature_association)],
 )
 def test_parser_defaults_mirror_library_defaults(command, study):
-    args = vars(build_parser().parse_args([command, "--input", "epicurves.csv"]))
+    features = ["--features", "features.csv"] if command == "associate" else []
+    args = vars(build_parser().parse_args([command, "--input", "epicurves.csv", *features]))
     expected = {**asdict(KMeansConfig()), **asdict(SpectralConfig())}
     if study is not None:
         params = inspect.signature(study).parameters.values()

@@ -29,6 +29,7 @@ from epiclust.cluster import (
     _leftmost_splits,
     _lloyd_group,
     _plusplus_seeds,
+    _restart_draws,
     _scalar_features,
     _spectral_embedding,
     _spectral_from_affinities,
@@ -347,7 +348,7 @@ def test_kmeans_labels_repeating_after_a_reseed_keep_iterating(monkeypatch):
     start = np.array([[0.5], [6.0], [-5.0]])
 
     monkeypatch.setattr(
-        "epiclust.cluster._plusplus_seeds", lambda points, k, rngs, *norms: np.array([start] * len(rngs))
+        "epiclust.cluster._plusplus_seeds", lambda points, k, draws, *rest: np.array([start] * len(draws))
     )
     monkeypatch.setattr(sys.modules[__name__], "_plusplus_init", lambda points, k, rng: start.copy())
     cfg = KMeansConfig(restarts=1)
@@ -476,12 +477,21 @@ def test_kmeans_groups_of_wide_short_rows_stay_within_the_group_budget():
     assert peak < KMEANS_GROUP_BYTES + 3 * BLOCK_BYTES
 
 
+def _up_to_numbering(labels, centroids):
+    """A final state with its clusters numbered in order of their first row,
+    unused clusters last: its labels and its centroids in that order."""
+    order = list(dict.fromkeys(labels.tolist()))
+    order += [c for c in range(len(centroids)) if c not in order]
+    rank = {c: i for i, c in enumerate(order)}
+    return tuple(rank[c] for c in labels.tolist()), centroids[order].tobytes()
+
+
 def test_kmeans_seeds_by_gram_products_and_takes_one_inertia_pass_per_distinct_state(monkeypatch):
     # k-means++ seeding takes one Gram product per center but the last and no
     # _sq_dists pass; besides the row norms, the inertia is one _sq_dists pass
-    # over one restart per distinct final state among all restarts: four far
-    # blobs leave no cluster empty and no row unsettled, so no re-seed or
-    # re-scoring adds a pass
+    # over one restart per distinct final state among all restarts, up to the
+    # numbering of its clusters: four far blobs leave no cluster empty and no
+    # row unsettled, so no re-seed or re-scoring adds a pass
     rng = np.random.default_rng(5)
     pts = np.repeat(100.0 * np.arange(4), 5)[:, None] + rng.standard_normal((20, 3))
     calls, seeding = [], []
@@ -503,7 +513,7 @@ def test_kmeans_seeds_by_gram_products_and_takes_one_inertia_pass_per_distinct_s
     monkeypatch.setattr("epiclust.cluster._sq_dists", counted("sq_dists", _sq_dists))
     monkeypatch.setattr("epiclust.cluster._gram", counted("gram", _gram))
     monkeypatch.setattr("epiclust.cluster._plusplus_seeds", seeds)
-    cfg = KMeansConfig()
+    cfg, renumbered = KMeansConfig(), 0
     for k in range(1, 5):
         calls.clear()
         kmeans(pts, k, cfg)
@@ -512,9 +522,11 @@ def test_kmeans_seeds_by_gram_products_and_takes_one_inertia_pass_per_distinct_s
         passes = [args for name, _, args in calls if name == "sq_dists"]
         assert len(passes) == 2
         runs = [_reference_lloyd(pts, k, cfg, np.random.default_rng([cfg.seed, r])) for r in range(cfg.restarts)]
-        states = {(run[0].tobytes(), run[1].tobytes()) for run in runs}
+        states = {_up_to_numbering(run[0], run[1]) for run in runs}
         assert passes[1][1].shape[0] == len(states)
         assert len(states) < cfg.restarts
+        renumbered += len(states) < len({(run[0].tobytes(), run[1].tobytes()) for run in runs})
+    assert renumbered > 0
 
 
 def test_kmeans_many_restarts_stay_within_the_group_budget():
@@ -537,6 +549,13 @@ def test_sq_dists_of_wide_short_rows_stay_within_a_block_per_restart_group():
         assert peak < 1000 * 20 * 8 + 3 * BLOCK_BYTES
 
 
+def _stream_draw(rngs, n):
+    """``draw`` for _weighted_draws, row j drawing from the stream ``rngs[j]``
+    what choice and k-means++ seeding draw: random() at a positive total,
+    integers(n) at a zero one."""
+    return lambda totals: [rng.random() if t > 0 else rng.integers(n) for rng, t in zip(rngs, totals.tolist())]
+
+
 def test_weighted_draws_match_generator_choice():
     # 3,000 weight rows in batches of 1 to 5 rows of one length n: each row's
     # index is the one Generator.choice(n, p=row / row total) returns from an
@@ -549,11 +568,11 @@ def test_weighted_draws_match_generator_choice():
         weights[rng.random((batch, n)) < rng.random()] = 0.0
         weights[np.arange(batch), rng.integers(n, size=batch)] = 1.0 + rng.random(batch)
         seeds = rng.integers(2**32, size=batch)
-        got = _weighted_draws(weights, [np.random.default_rng(s) for s in seeds])
+        got = _weighted_draws(weights, _stream_draw([np.random.default_rng(s) for s in seeds], n))
         totals = weights.sum(axis=1)
         for j, seed in enumerate(seeds):
             inline, alone = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _weighted_draws(weights[j : j + 1], [inline]) == [got[j]]
+            assert _weighted_draws(weights[j : j + 1], _stream_draw([inline], n)) == [got[j]]
             assert got[j] == alone.choice(n, p=weights[j] / totals[j])
             assert inline.random() == alone.random()
         rows += batch
@@ -599,8 +618,8 @@ def test_certified_draws_equal_difference_form_draws(family):
 
         rngs = [np.random.default_rng(s) for s in seeds]
         alone = [np.random.default_rng(s) for s in seeds]
-        got = _weighted_draws(gram, rngs, band, exact_rows)
-        assert got.tolist() == _weighted_draws(exact, alone).tolist()
+        got = _weighted_draws(gram, _stream_draw(rngs, n), band, exact_rows)
+        assert got.tolist() == _weighted_draws(exact, _stream_draw(alone, n)).tolist()
         assert [r.random() for r in rngs] == [r.random() for r in alone]
         fallbacks += len(asked)
         certified += a - len(asked)
@@ -609,17 +628,15 @@ def test_certified_draws_equal_difference_form_draws(family):
         assert fallbacks > 0
 
 
-class _StubRng:
-    """Returns the given uniform draw; k-means++ seeding must not ask for an integer."""
+def _stub_draw(u):
+    """``draw`` that gives each row the uniform draw u; k-means++ seeding must
+    not ask for an integer."""
 
-    def __init__(self, u):
-        self.u = u
+    def draw(totals):
+        assert (totals > 0).all(), "a positive total draws random()"
+        return [u] * len(totals)
 
-    def random(self):
-        return self.u
-
-    def integers(self, n):
-        raise AssertionError("a positive total draws random()")
+    return draw
 
 
 def test_draw_within_the_slack_of_a_cdf_entry_takes_the_exact_index():
@@ -639,8 +656,8 @@ def test_draw_within_the_slack_of_a_cdf_entry_takes_the_exact_index():
             for u in ((cdf_gram[m] + cdf_exact[m]) / 2, cdf_exact[m], np.nextafter(cdf_exact[m], 0.0)):
                 want = int(cdf_exact.searchsorted(u, side="right"))
                 differing += want != int(cdf_gram.searchsorted(u, side="right"))
-                assert _weighted_draws(exact, [_StubRng(u)]).tolist() == [want]
-                got = _weighted_draws(gram, [_StubRng(u)], band, lambda rows: exact[rows])
+                assert _weighted_draws(exact, _stub_draw(u)).tolist() == [want]
+                got = _weighted_draws(gram, _stub_draw(u), band, lambda rows: exact[rows])
                 assert got.tolist() == [want]
     assert differing > 0
 
@@ -701,13 +718,14 @@ def test_restarts_sharing_final_labels_keep_their_own_inertia(monkeypatch):
     # row is re-scored, and each restart keeps the inertia of its own centroids
     points = np.array([[0.0], [1.0], [10.0], [11.0]])
     starts = np.array([[[0.0], [1.0]], [[0.0], [10.0]]])
-    monkeypatch.setattr("epiclust.cluster._plusplus_seeds", lambda points, k, rngs, *norms: starts.copy())
+    monkeypatch.setattr("epiclust.cluster._plusplus_seeds", lambda points, k, draws, *rest: starts.copy())
     cfg = KMeansConfig(max_iters=1, restarts=2)
     assert kmeans(points, 2, cfg).centroids.tolist() == [[0.5], [10.5]]
     monkeypatch.setattr("epiclust.cluster._GRAM_SLACK", np.inf)
     sq_norms = (points * points).sum(axis=1)
     pairs = [(0, 0), (0, 1)]
-    results = list(_lloyd_group([points], 2, cfg, pairs, sq_norms[None], np.sqrt(sq_norms.max(keepdims=True))))
+    x_norms, draws = np.sqrt(sq_norms.max(keepdims=True)), _restart_draws(cfg.seed, 2, 4, 2)
+    results = list(_lloyd_group([points], 2, cfg, pairs, sq_norms[None], x_norms, draws))
     assert [labels.tolist() for labels, *_ in results] == [[0, 0, 1, 1]] * 2
     for labels, centroids, inertia, _ in results:
         assert inertia == ((points - centroids[labels]) ** 2).sum(axis=1).sum()
@@ -837,6 +855,67 @@ def test_batched_windows_re_seed_and_re_score_as_alone(monkeypatch):
         assert_windows_match(monkeypatch, batch, 3, cfg)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_windows_with_a_zero_seeding_total_replay_their_restart_streams(monkeypatch, k):
+    # every row of window 1 is one point, so after its first center every
+    # k-means++ weight is 0 and choice calls integers(n); window 2 holds two
+    # points, so for k >= 3 its weights reach 0 one center later. Their pairs
+    # replay their restart's shared draws on a stream of their own, inside a
+    # group shared with windows whose totals stay positive
+    rng = np.random.default_rng(19)
+    windows = [rng.standard_normal((20, 3)) for _ in range(4)]
+    windows[1] = np.repeat(windows[1][:1], 20, axis=0)
+    windows[2] = windows[2][rng.integers(2, size=20) * 7]
+    cfg = KMeansConfig(restarts=10, seed=7)
+    groups, started = _recorded_groups(monkeypatch), []
+    with monkeypatch.context() as m:
+        real = np.random.default_rng
+        m.setattr(np.random, "default_rng", lambda seed: started.append(seed) or real(seed))
+        _kmeans_windows(windows, k, cfg)
+    assert groups == [[0, 1, 2, 3]]
+    # one stream per restart for the shared draws, then one per replaying pair
+    assert len(started) == cfg.restarts * (2 + (k >= 3))
+    # which of the coinciding points a zero total draws shows in the seeds,
+    # though the re-seeding of the empty clusters then hides it
+    pairs = [(w, r) for w in range(4) for r in range(cfg.restarts)]
+    sq_norms = np.stack([(w * w).sum(axis=1) for w in windows])
+    draws = _restart_draws(cfg.seed, cfg.restarts, 20, k)[[r for _, r in pairs]]
+    seeds = _plusplus_seeds(windows, k, draws, [[cfg.seed, r] for _, r in pairs], sq_norms,
+                            np.sqrt(sq_norms.max(axis=1)), np.array([w for w, _ in pairs]))
+    for (w, r), got in zip(pairs, seeds):
+        assert got.tobytes() == _plusplus_init(windows[w], k, np.random.default_rng([cfg.seed, r])).tobytes()
+    assert_windows_match(monkeypatch, windows, k, cfg)
+
+
+def test_restarts_sharing_member_sets_equal_each_restart_alone():
+    # four far blobs: the restarts of a window reach one partition, most under
+    # their own numbering, so their steps share member sets at other cluster
+    # indices and their final states are one up to numbering; each pair still
+    # yields its own restart's labels, centroids and inertia
+    rng = np.random.default_rng(31)
+    windows = [np.repeat(100.0 * np.arange(4), 10)[:, None] + rng.standard_normal((40, 3)) for _ in range(2)]
+    sq_norms = np.stack([(w * w).sum(axis=1) for w in windows])
+    x_norms = np.sqrt(sq_norms.max(axis=1))
+    cfg = KMeansConfig(restarts=10, seed=4)
+    pairs = [(w, r) for w in range(2) for r in range(cfg.restarts)]
+    renumbered = 0
+    for k in (2, 3, 4):
+        draws = _restart_draws(cfg.seed, cfg.restarts, 40, k)
+        got = list(_lloyd_group(windows, k, cfg, pairs, sq_norms, x_norms, draws))
+        for (w, r), (labels, centroids, inertia, history) in zip(pairs, got):
+            want = _reference_lloyd(windows[w], k, cfg, np.random.default_rng([cfg.seed, r]))
+            assert np.array_equal(labels, want[0])
+            assert centroids.tobytes() == want[1].tobytes()
+            assert inertia == want[2] == history[-1]
+            assert len(history) == len(want[3])
+        for w in range(2):
+            states = [(labels, centroids) for (v, _), (labels, centroids, *_) in zip(pairs, got) if v == w]
+            renumbered += len({_up_to_numbering(*state) for state in states}) < len(
+                {(labels.tobytes(), centroids.tobytes()) for labels, centroids in states}
+            )
+    assert renumbered > 0
+
+
 def _two_scale_windows(big):
     """A unit-scale window, then ``big``, with their squared row norms and largest row norms."""
     windows = [np.linspace(-1.0, 1.0, big.size).reshape(big.shape), big]
@@ -869,8 +948,8 @@ def test_seeding_slack_is_sized_by_each_windows_own_rows():
     restarts = range(20)
     pairs = [(w, r) for w in range(2) for r in restarts]
     wins = np.array([w for w, _ in pairs])
-    rngs = [np.random.default_rng([3, r]) for _, r in pairs]
-    seeds = _plusplus_seeds(windows, 4, rngs, sq_norms, x_norms, wins)
+    draws = _restart_draws(3, len(restarts), 40, 4)[[r for _, r in pairs]]
+    seeds = _plusplus_seeds(windows, 4, draws, [[3, r] for _, r in pairs], sq_norms, x_norms, wins)
     for (w, r), got in zip(pairs, seeds):
         assert got.tobytes() == _plusplus_init(windows[w], 4, np.random.default_rng([3, r])).tobytes()
 
