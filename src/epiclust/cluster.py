@@ -24,10 +24,9 @@ Restart r draws its RNG stream from (seed, r) and follows its own trajectory,
 so results do not depend on evaluation order: run in lockstep, each restart
 makes the same draws and reaches the same partition as when run alone. Work is
 done once per thing it depends on: each restart's stream once per
-``_kmeans_windows`` call, read by every pair of that restart (a pair whose
-seeding total is 0 replays it on its own stream); each step's centroid sum once
-per distinct (window, member set); the exact inertia once per final state up
-to the numbering of its clusters.
+``_kmeans_windows`` call, read by every pair of that restart; each step's
+centroid sum once per distinct (window, member set); the exact inertia once
+per final state up to the numbering of its clusters.
 ``_cluster_windows`` runs the ``ALGORITHMS`` name it is given on all windows
 of a technique in one ``_kmeans_windows`` call (for spectral, on the windows'
 embeddings), whose lockstep unit is a (window, restart) pair that carries its
@@ -36,13 +35,17 @@ blocks group pairs into runs that share a window. Each window's result equals
 ``kmeans`` of it alone, the one-window case. k-means++ seeding takes each
 restart's weights in the Gram form, one BLAS product per center index, and
 keeps a draw only where the rounding bound certifies that the difference-form
-weights give the same index; any other restart draws from its difference-form
-row with the same random number. Every difference-form distance, in k-means, in
-``rbf_affinity`` and in the inertia of ``cluster_scalar_feature``, comes from
-``_sq_dists``: (restarts, rows, d) blocks of bounded size, each distance one
-sum over its row's d contiguous values, so it equals the one-centroid value
-bit for bit. Only ``inertia_history`` entries before the last (Gram-form
-totals) may differ in their last bits, as they may between BLAS builds.
+weights give the same index; any other restart searches its difference-form
+row with the same random number. The weights are running minima of
+non-negative distances, so once a pair's exact total is 0 it stays 0 and
+seeding draws ``integers(n)`` for each center left: the pair replays its
+restart's stream once and takes all those centers from it. Every
+difference-form distance, in k-means, in ``rbf_affinity`` and in the inertia
+of ``cluster_scalar_feature``, comes from ``_sq_dists``: (restarts, rows, d)
+blocks of bounded size, each distance one sum over its row's d contiguous
+values, so it equals the one-centroid value bit for bit. Only
+``inertia_history`` entries before the last (Gram-form totals) may differ in
+their last bits, as they may between BLAS builds.
 """
 
 from __future__ import annotations
@@ -57,9 +60,10 @@ LAPLACIAN_KINDS = ("unnormalized", "symmetric_normalized")
 # bytes; a group of at least one restart is always taken. At the peak of a
 # step a restart holds about n (11 k + 48) bytes (its (k, n) scores and masks
 # and a few (n,) rows), about five (k, d) centroid arrays (current, old, new
-# and the shift temporaries) and 2 KiB to spare, the size of the RNG a pair
-# holds once it replays its restart's stream (see ``_plusplus_seeds``):
-# 16 n (k + 4) + 48 k d + 2 KiB bounds that for every k and d.
+# and the shift temporaries) and 2 KiB to spare, room for the RNG a pair
+# builds for a moment to replay its restart's stream when its seeding total
+# reaches 0 (see ``_plusplus_seeds``): 16 n (k + 4) + 48 k d + 2 KiB bounds
+# that for every k and d.
 KMEANS_GROUP_BYTES = 4 * 2**20
 # Windows clustered together (``_kmeans_windows``) share a lockstep group while
 # all their restarts fit in this many bytes at the estimate above, so small
@@ -319,59 +323,48 @@ def _sq_dists(points, centroids, labels=None):
 
 def _cdf_picks(weights, totals, draws, slack):
     """Per row, the index numpy's inverse CDF gives the uniform draw u (the
-    count of CDF entries at most u, as ``searchsorted(side="right")``), or on
-    a row of zeros the drawn integer itself; and whether u lies at least
-    ``slack`` from both CDF entries around that index, that is, whether
-    u - slack and u + slack have the same count. A total that is not finite
-    (the squared distances of finite points can overflow) raises
-    ``ValueError``, as ``choice`` does."""
-    if not np.isfinite(totals).all():
-        raise ValueError("k-means++ weights are not finite: the squared distances overflow")
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows of zeros count 0 either way
+    count of CDF entries at most u, as ``searchsorted(side="right")``), and
+    whether u lies at least ``slack`` from both CDF entries around that
+    index, that is, whether u - slack and u + slack have the same count. A
+    row of zeros or a total that is not finite counts 0 either way."""
+    with np.errstate(divide="ignore", invalid="ignore"):
         cdf = np.cumsum(weights / totals[:, None], axis=1)
         cdf /= cdf[:, -1:]
     low = (cdf <= (draws - slack)[:, None]).sum(axis=1)
     high = (cdf <= (draws + slack)[:, None]).sum(axis=1)
-    return np.where(totals > 0, high, draws).astype(np.intp), low == high
+    return high, low == high
 
 
-def _weighted_draws(weights, draw, error=None, exact=None):
-    """Per row j of ``weights``, the index ``choice(n, p=w / w.sum())`` draws
-    from row j's stream, with the same stream use, where w is the exact row
-    that ``weights[j]`` approximates within ``error`` (or ``error[j]``) per
-    entry and ``exact(rows)`` returns the exact rows of the given row indices:
-    numpy's own inverse CDF, batched over the rows, without ``choice``'s
-    per-call checks. ``draw(totals)`` makes each row's draw from its stream
-    for the exact totals: ``random()`` where it is positive, else
-    ``integers(n)``; it is called once.
+def _weighted_draws(weights, draws, error, exact):
+    """Per row j of ``weights``, the index ``choice(n, p=w / w.sum())`` takes
+    for the uniform draw ``draws[j]``, and whether w is all zeros (where
+    choice fails and k-means++ seeding draws ``integers(n)`` instead): w is
+    the exact row that ``weights[j]`` approximates within ``error`` (or
+    ``error[j]``) per entry, and ``exact(rows)`` returns the exact rows of the
+    given row indices. This is numpy's own inverse CDF, batched over the
+    rows, without ``choice``'s per-call checks.
 
-    A row whose total proves the exact total positive draws ``random()`` and
-    keeps its index when the draw lies at least the slack beta from both CDF
-    entries around it (see ``_GRAM_SLACK``); otherwise its exact row is
-    searched with the same draw. Any other row (exact total possibly zero,
-    or anything not finite) is replaced by its exact row before the draw. An
-    exact row has slack 0: a row of zeros takes its drawn integer and a total
-    that is not finite raises ``ValueError``, as ``choice`` does."""
+    A row keeps the index of its own weights when their total proves the
+    exact total positive and the draw lies at least the slack beta from both
+    CDF entries around it (see ``_GRAM_SLACK``). Every other row is searched
+    on its exact row with the same draw; a total that is not finite there
+    raises ``ValueError``, as ``choice`` does."""
     n = weights.shape[1]
-    totals = weights.sum(axis=1)
-    slack = 0.0
-    if error is not None:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            floor = totals * (1.0 - n * _EPS) - n * error
-            slack = 2.0 * n * error / floor + 2.0 * (n + 4) * _EPS
-            certified = (floor > 0) & (floor < np.inf)
-        if not certified.all():
-            unsure = np.flatnonzero(~certified)
-            weights = weights.copy()
-            weights[unsure] = exact(unsure)
-            totals[unsure], slack[unsure] = weights[unsure].sum(axis=1), 0.0
-    draws = np.asarray(draw(totals), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        totals = weights.sum(axis=1)
+        floor = totals * (1.0 - n * _EPS) - n * error
+        slack = 2.0 * n * error / floor + 2.0 * (n + 4) * _EPS
     picks, sure = _cdf_picks(weights, totals, draws, slack)
-    if not sure.all():
-        redo = np.flatnonzero(~sure)
+    zero = np.zeros(picks.shape, dtype=bool)
+    redo = np.flatnonzero(~(sure & (floor > 0) & (floor < np.inf)))
+    if redo.size:
         rows = exact(redo)
-        picks[redo] = _cdf_picks(rows, rows.sum(axis=1), draws[redo], 0.0)[0]
-    return picks
+        totals = rows.sum(axis=1)
+        if not np.isfinite(totals).all():
+            raise ValueError("k-means++ weights are not finite: the squared distances overflow")
+        picks[redo] = _cdf_picks(rows, totals, draws[redo], 0.0)[0]
+        zero[redo] = totals == 0
+    return picks, zero
 
 
 def _restart_draws(seed, restarts, n, k):
@@ -394,30 +387,22 @@ def _plusplus_seeds(points, k, draws, seeds, sq_norms, x_norms, wins):
     makes the draws its restart makes seeded alone with ``integers`` and
     ``choice``. Row j of ``draws`` holds what pair j's restart draws while
     its totals are positive (``_restart_draws``), and ``seeds[j]`` seeds
-    that restart's stream. A pair reads its row until a total is 0, where
-    it draws ``integers(n)`` in place of ``random()``: it then replays its
-    row on its own stream and draws from that one on. A pair's weights are
+    that restart's stream. A pair's exact weights are running minima of
+    non-negative distances, so once their total is 0 it stays 0, and from
+    there seeding draws ``integers(n)`` for every center left: at its first
+    zero total, at index i, a pair replays ``integers(n)`` and
+    ``random(i - 1)`` on its restart's stream and takes its k - i remaining
+    centers from it; later indices leave them alone. A pair's weights are
     its least Gram-form distances to its centers so far, one BLAS product
     per center index and window, clamped at 0; ``_weighted_draws`` keeps a
-    draw only where the rounding bound certifies it and otherwise draws from
+    draw only where the rounding bound certifies it and otherwise searches
     the difference-form row, so every index equals the one the difference
     form draws. Nothing reads the distances to the last center, so they are
     taken to centers 0 .. k - 2."""
     n, d = points[0].shape
     picks = np.empty((len(wins), k), dtype=np.intp)
     picks[:, 0] = draws[:, 0]
-    own = {}  # pair -> its own stream, once a zero total has set it apart from its row
-
-    def draw(totals):  # draw i of each pair
-        out = draws[:, i].copy()
-        for j in {*np.flatnonzero(~(totals > 0)).tolist(), *own}:
-            if j not in own:
-                rng = own[j] = np.random.default_rng(seeds[j])
-                rng.integers(n)
-                rng.random(i - 1)  # the draws its row held
-            out[j] = own[j].random() if totals[j] > 0 else own[j].integers(n)
-        return out
-
+    seeded = np.zeros(len(wins), dtype=bool)  # every center picked, after a zero total
     with np.errstate(over="ignore"):  # a band that overflows is inf and certifies no draw
         error = _gram_band(d, 2.0 * x_norms[wins])
 
@@ -435,7 +420,14 @@ def _plusplus_seeds(points, k, draws, seeds, sq_norms, x_norms, wins):
             dists = _gram(points, sq_norms, centers, sq_norms[wins[:, None], last], wins)[:, 0]
             np.maximum(dists, 0.0, out=dists)
         d2 = dists if i == 1 else np.minimum(d2, dists, out=d2)
-        picks[:, i] = _weighted_draws(d2, draw, error, exact)
+        got, zero = _weighted_draws(d2, draws[:, i], error, exact)
+        picks[~seeded, i] = got[~seeded]
+        for j in np.flatnonzero(zero & ~seeded).tolist():
+            rng = np.random.default_rng(seeds[j])
+            rng.integers(n)
+            rng.random(i - 1)  # the draws its row held
+            picks[j, i:] = [rng.integers(n) for _ in range(i, k)]
+        seeded |= zero
     return _rows(points, picks, wins)
 
 
@@ -552,9 +544,8 @@ def _kmeans_windows(windows, k: int, cfg: KMeansConfig) -> list[ClusterAssignmen
         sq_norms = np.concatenate([_sq_dists(points, np.zeros((1, d))) for points in windows])
     x_norms = np.sqrt(sq_norms.max(axis=1))
     restart_bytes = 16 * n * (k + 4) + 48 * k * d + 2048
-    window_bytes = cfg.restarts * restart_bytes
-    joined = max(1, KMEANS_JOIN_BYTES // window_bytes)
-    size = cfg.restarts if window_bytes <= KMEANS_JOIN_BYTES else max(1, KMEANS_GROUP_BYTES // restart_bytes)
+    joined = max(1, KMEANS_JOIN_BYTES // (cfg.restarts * restart_bytes))
+    size = max(1, KMEANS_GROUP_BYTES // restart_bytes)
     groups = [(range(w, min(w + joined, len(windows))), range(r, min(r + size, cfg.restarts)))
               for w in range(0, len(windows), joined) for r in range(0, cfg.restarts, size)]
     draws = _restart_draws(cfg.seed, cfg.restarts, n, k)

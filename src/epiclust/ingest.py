@@ -63,16 +63,7 @@ class EpicurveMatrix:
             raise IngestError(f"{len(self.dates)} dates for {n_days} value columns")
         if n_regions == 0 or n_days == 0:
             raise IngestError("matrix must have at least one region and one day")
-        names = self.region_names
-        if "" in names or len(set(names)) != len(names):
-            # name the first offender in row order
-            seen = set()
-            for name in names:
-                if not name:
-                    raise IngestError("empty region name")
-                if name in seen:
-                    raise IngestError(f"duplicate region: {name!r}")
-                seen.add(name)
+        _reject_names(self.region_names, "region", lambda i, problem: IngestError(problem))
         for prev, cur in zip(self.dates, self.dates[1:]):
             if (cur - prev).days != 1:
                 raise IngestError(f"non-consecutive dates: {prev} followed by {cur}")
@@ -122,6 +113,7 @@ class FeatureTable:
                 f"feature values shape {values.shape} does not match "
                 f"{len(self.region_names)} regions x {len(self.feature_names)} features"
             )
+        _reject_names(self.feature_names, "feature", lambda j, problem: IngestError(problem))
         if np.isnan(values).any():
             r, c = np.argwhere(np.isnan(values))[0]
             raise IngestError(
@@ -277,15 +269,22 @@ def _unplain_cell(path, column, row, i) -> IngestError | None:
     return None
 
 
-def _row_of(path, names) -> dict:
-    """Map each region name to its data row; an empty or repeated name is an error."""
-    row_of = {}
+def _reject_names(names, kind, error) -> None:
+    """Raise ``error(i, problem)`` for the first empty or repeated name
+    ``names[i]``, a ``kind`` name, if there is one."""
+    seen = set()
     for i, name in enumerate(names):
         if not name:
-            raise _cell_error(path, i + 2, 1, "empty region name")
-        if row_of.setdefault(name, i) != i:
-            raise _cell_error(path, i + 2, 1, f"duplicate region: {name!r}")
-    return row_of
+            raise error(i, f"empty {kind} name")
+        if name in seen:
+            raise error(i, f"duplicate {kind}: {name!r}")
+        seen.add(name)
+
+
+def _row_of(path, names) -> dict:
+    """Map each region name to its data row; an empty or repeated name is an error."""
+    _reject_names(names, "region", lambda i, problem: _cell_error(path, i + 2, 1, problem))
+    return {name: i for i, name in enumerate(names)}
 
 
 def _join_regions(path, names, values, region_names) -> np.ndarray:
@@ -347,9 +346,12 @@ def load_features(path, epicurves: EpicurveMatrix) -> FeatureTable:
     """Read a feature CSV and reorder its rows to match ``epicurves``.
 
     The join is by exact region name (case-sensitive). Any region present in
-    only one of the two tables, or any empty/non-numeric cell, is an error.
+    only one of the two tables, any empty/non-numeric cell, and an empty or
+    repeated feature name (named by its header column) are errors.
     """
     header, names, values = _read_table(path, "feature")
+    _reject_names(header[1:], "feature",
+                  lambda j, problem: IngestError(f"{path}: {problem} at header column {j + 2}"))
     values = _join_regions(path, names, values, epicurves.region_names)
     return FeatureTable(epicurves.region_names, tuple(header[1:]), values)
 

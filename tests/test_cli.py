@@ -134,6 +134,22 @@ def test_heatmap_labels_keep_xml_special_characters(fixture_dir, tmp_path):
     assert "R&D <share>" in texts and names[-2] in texts
 
 
+@pytest.mark.parametrize("bad", ["repeated", "empty"])
+def test_repeated_or_empty_feature_name_exits_2(fixture_dir, tmp_path, capsys, bad):
+    """Each feature is reported by its header name, so a name that repeats
+    another, or is empty, stops the run before any report is written."""
+    header, *rows = (fixture_dir / "features.csv").read_text().splitlines(keepends=True)
+    names = header.rstrip("\n").split(",")
+    name, problem = (names[1], f"duplicate feature: {names[1]!r}") if bad == "repeated" else ("", "empty feature name")
+    features = tmp_path / "features.csv"
+    features.write_text(",".join([*names[:-1], name]) + "\n" + "".join(rows))
+    out = tmp_path / "out"
+    assert run(["associate", "--input", fixture_dir / "epicurves.csv", "--features", features,
+                "--prep", "none", "--algo", "kmeans", "--trials", "5", "--out", out]) == 2
+    assert f"{features}: {problem} at header column {len(names)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_associate_requires_features(fixture_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["associate", "--input", fixture_dir / "epicurves.csv", "--out", tmp_path])

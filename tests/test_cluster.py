@@ -549,17 +549,17 @@ def test_sq_dists_of_wide_short_rows_stay_within_a_block_per_restart_group():
         assert peak < 1000 * 20 * 8 + 3 * BLOCK_BYTES
 
 
-def _stream_draw(rngs, n):
-    """``draw`` for _weighted_draws, row j drawing from the stream ``rngs[j]``
-    what choice and k-means++ seeding draw: random() at a positive total,
-    integers(n) at a zero one."""
-    return lambda totals: [rng.random() if t > 0 else rng.integers(n) for rng, t in zip(rngs, totals.tolist())]
+def _exact_draws(weights, draws):
+    """_weighted_draws on rows that are their own exact rows, with no error."""
+    return _weighted_draws(weights, np.asarray(draws, dtype=float), 0.0, lambda rows: weights[rows])
 
 
 def test_weighted_draws_match_generator_choice():
     # 3,000 weight rows in batches of 1 to 5 rows of one length n: each row's
-    # index is the one Generator.choice(n, p=row / row total) returns from an
-    # identical stream, and both streams are left in the same state
+    # index for its stream's random() draw is the one Generator.choice(n,
+    # p=row / row total) returns from an identical stream, which choice
+    # leaves as that one draw does; the same with every row sent straight to
+    # its exact row (an infinite error certifies nothing)
     rng = np.random.default_rng(29)
     rows = 0
     while rows < 3000:
@@ -568,11 +568,15 @@ def test_weighted_draws_match_generator_choice():
         weights[rng.random((batch, n)) < rng.random()] = 0.0
         weights[np.arange(batch), rng.integers(n, size=batch)] = 1.0 + rng.random(batch)
         seeds = rng.integers(2**32, size=batch)
-        got = _weighted_draws(weights, _stream_draw([np.random.default_rng(s) for s in seeds], n))
+        draws = np.array([np.random.default_rng(s).random() for s in seeds])
+        got, zero = _exact_draws(weights, draws)
+        assert not zero.any()
+        uncertified = _weighted_draws(weights, draws, np.inf, lambda rows: weights[rows])
+        assert uncertified[0].tolist() == got.tolist() and not uncertified[1].any()
         totals = weights.sum(axis=1)
         for j, seed in enumerate(seeds):
             inline, alone = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _weighted_draws(weights[j : j + 1], _stream_draw([inline], n)) == [got[j]]
+            assert _exact_draws(weights[j : j + 1], [inline.random()])[0] == [got[j]]
             assert got[j] == alone.choice(n, p=weights[j] / totals[j])
             assert inline.random() == alone.random()
         rows += batch
@@ -600,8 +604,9 @@ SEEDING_FAMILIES = {
 
 @pytest.mark.parametrize("family", sorted(SEEDING_FAMILIES))
 def test_certified_draws_equal_difference_form_draws(family):
-    # every draw, certified or sent to the exact row, is the index and the
-    # stream use of _weighted_draws on the difference-form rows
+    # every draw, certified or sent to the exact row, is the index choice
+    # takes on the difference-form row from the same stream, and a
+    # difference-form row of zeros, and only such a row, is flagged zero
     rng = np.random.default_rng(sorted(SEEDING_FAMILIES).index(family))
     certified = fallbacks = 0
     for _ in range(300):
@@ -616,27 +621,18 @@ def test_certified_draws_equal_difference_form_draws(family):
             asked.extend(rows.tolist())
             return exact[rows]
 
-        rngs = [np.random.default_rng(s) for s in seeds]
-        alone = [np.random.default_rng(s) for s in seeds]
-        got = _weighted_draws(gram, _stream_draw(rngs, n), band, exact_rows)
-        assert got.tolist() == _weighted_draws(exact, _stream_draw(alone, n)).tolist()
-        assert [r.random() for r in rngs] == [r.random() for r in alone]
+        draws = np.array([np.random.default_rng(s).random() for s in seeds])
+        got, zero = _weighted_draws(gram, draws, band, exact_rows)
+        want, want_zero = _exact_draws(exact, draws)
+        assert zero.tolist() == want_zero.tolist() == (exact.sum(axis=1) == 0).tolist()
+        assert got[~zero].tolist() == want[~zero].tolist()
+        for j in np.flatnonzero(~zero).tolist():
+            assert got[j] == np.random.default_rng(seeds[j]).choice(n, p=exact[j] / exact[j].sum())
         fallbacks += len(asked)
         certified += a - len(asked)
     assert certified > 0
     if family == "offset_1e7":
         assert fallbacks > 0
-
-
-def _stub_draw(u):
-    """``draw`` that gives each row the uniform draw u; k-means++ seeding must
-    not ask for an integer."""
-
-    def draw(totals):
-        assert (totals > 0).all(), "a positive total draws random()"
-        return [u] * len(totals)
-
-    return draw
 
 
 def test_draw_within_the_slack_of_a_cdf_entry_takes_the_exact_index():
@@ -656,10 +652,31 @@ def test_draw_within_the_slack_of_a_cdf_entry_takes_the_exact_index():
             for u in ((cdf_gram[m] + cdf_exact[m]) / 2, cdf_exact[m], np.nextafter(cdf_exact[m], 0.0)):
                 want = int(cdf_exact.searchsorted(u, side="right"))
                 differing += want != int(cdf_gram.searchsorted(u, side="right"))
-                assert _weighted_draws(exact, _stub_draw(u)).tolist() == [want]
-                got = _weighted_draws(gram, _stub_draw(u), band, lambda rows: exact[rows])
-                assert got.tolist() == [want]
+                assert _exact_draws(exact, [u])[0].tolist() == [want]
+                got, zero = _weighted_draws(gram, np.array([u]), band, lambda rows: exact[rows])
+                assert got.tolist() == [want] and not zero.any()
     assert differing > 0
+
+
+def test_a_zero_exact_total_is_flagged_where_the_gram_total_is_not_zero():
+    # identical rows near 1e7: every difference-form weight is 0, but the
+    # Gram form |x|^2 - 2 x.c + |c|^2 keeps a rounding error for some of
+    # them. Such a total proves nothing, so the row goes to its exact row,
+    # whatever its draw, and is flagged zero; kmeans then draws integers(n)
+    # there as the reference does
+    rounded = 0
+    for d in range(2, 9):
+        for q in (3, 7, 9, 11, 13):
+            pts = np.repeat(1e7 + np.arange(1, d + 1)[None] / q, 5, axis=0)
+            gram, exact, band = _seeding_rows(pts, np.array([[0]]))
+            assert not exact.any()
+            for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+                assert _weighted_draws(gram, np.array([u]), band, lambda rows: exact[rows])[1].tolist() == [True]
+            if gram.sum() > 0:
+                rounded += 1
+                cfg = KMeansConfig(restarts=3, seed=q)
+                assert_same_as_reference(kmeans(pts, 3, cfg), reference_kmeans(pts, 3, cfg))
+    assert rounded > 0
 
 
 @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
@@ -855,29 +872,32 @@ def test_batched_windows_re_seed_and_re_score_as_alone(monkeypatch):
         assert_windows_match(monkeypatch, batch, 3, cfg)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_windows_with_a_zero_seeding_total_replay_their_restart_streams(monkeypatch, k):
     # every row of window 1 is one point, so after its first center every
     # k-means++ weight is 0 and choice calls integers(n); window 2 holds two
-    # points, so for k >= 3 its weights reach 0 one center later. Their pairs
-    # replay their restart's shared draws on a stream of their own, inside a
-    # group shared with windows whose totals stay positive
+    # points, so for k >= 3 its weights reach 0 one center later, and window
+    # 4 holds three, so for k >= 4 they reach 0 at center 3, after two
+    # random() draws, and k - 3 integers(n) draws follow. Their pairs replay
+    # their restart's shared draws on a stream of their own, inside a group
+    # shared with windows whose totals stay positive
     rng = np.random.default_rng(19)
     windows = [rng.standard_normal((20, 3)) for _ in range(4)]
     windows[1] = np.repeat(windows[1][:1], 20, axis=0)
     windows[2] = windows[2][rng.integers(2, size=20) * 7]
+    windows.append(rng.standard_normal((3, 3))[np.arange(20) % 3])
     cfg = KMeansConfig(restarts=10, seed=7)
     groups, started = _recorded_groups(monkeypatch), []
     with monkeypatch.context() as m:
         real = np.random.default_rng
         m.setattr(np.random, "default_rng", lambda seed: started.append(seed) or real(seed))
         _kmeans_windows(windows, k, cfg)
-    assert groups == [[0, 1, 2, 3]]
+    assert groups == [[0, 1, 2, 3, 4]]
     # one stream per restart for the shared draws, then one per replaying pair
-    assert len(started) == cfg.restarts * (2 + (k >= 3))
+    assert len(started) == cfg.restarts * (2 + (k >= 3) + (k >= 4))
     # which of the coinciding points a zero total draws shows in the seeds,
     # though the re-seeding of the empty clusters then hides it
-    pairs = [(w, r) for w in range(4) for r in range(cfg.restarts)]
+    pairs = [(w, r) for w in range(5) for r in range(cfg.restarts)]
     sq_norms = np.stack([(w * w).sum(axis=1) for w in windows])
     draws = _restart_draws(cfg.seed, cfg.restarts, 20, k)[[r for _, r in pairs]]
     seeds = _plusplus_seeds(windows, k, draws, [[cfg.seed, r] for _, r in pairs], sq_norms,

@@ -632,6 +632,12 @@ def test_unlocated_refusal_names_the_file(tmp_path, monkeypatch, capsys):
         (lambda tmp: FeatureTable(("a",), ("f", "g"), np.zeros((1, 1))),
          "feature values shape (1, 1) does not match 1 regions x 2 features"),
         (lambda tmp: FeatureTable(("a",), ("f",), [[np.nan]]), "missing value for region 'a', feature 'f'"),
+        (lambda tmp: FeatureTable(("a",), ("f", "f"), np.zeros((1, 2))), "duplicate feature: 'f'"),
+        (lambda tmp: FeatureTable(("a",), ("f", ""), np.zeros((1, 2))), "empty feature name"),
+        (lambda tmp: load_features(write_csv(tmp / "feat.csv", ["region,f,g,f", "a,1,2,3"]), make_matrix(1)),
+         "feat.csv: duplicate feature: 'f' at header column 4"),
+        (lambda tmp: load_features(write_csv(tmp / "feat.csv", ["region,f, ,g", "r0,1,2,3"]), make_matrix(1)),
+         "feat.csv: empty feature name at header column 3"),
         (lambda tmp: load_epicurves(write_csv(tmp / "epi.csv", ["region,2020-11-15,day2", "a,1,2"])),
          "header column 3 is not an ISO date: 'day2'"),
         (lambda tmp: load_epicurves(write_csv(tmp / "epi.csv", ["region,2020-11-15", "a,1"]),
@@ -641,7 +647,8 @@ def test_unlocated_refusal_names_the_file(tmp_path, monkeypatch, capsys):
         (lambda tmp: write_populations(make_matrix(), tmp / "pop.csv"), "matrix carries no populations"),
     ],
     ids=["values_not_2d", "name_count", "date_count", "empty", "populations_shape", "with_values_shape",
-         "feature_shape", "feature_nan", "header_not_a_date", "population_header", "window_len_zero",
+         "feature_shape", "feature_nan", "feature_duplicate_name", "feature_empty_name",
+         "feature_header_duplicate", "feature_header_empty", "header_not_a_date", "population_header", "window_len_zero",
          "no_populations_to_write"],
 )
 def test_bad_input_raises(tmp_path, call, message):
