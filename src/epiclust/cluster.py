@@ -23,10 +23,13 @@ frozen ``KMeansConfig`` and ``SpectralConfig`` hold only solver controls:
 Restart r draws its RNG stream from (seed, r) and follows its own trajectory,
 so results do not depend on evaluation order: run in lockstep, each restart
 makes the same draws and reaches the same partition as when run alone. Work is
-done once per thing it depends on: each restart's stream once per
-``_kmeans_windows`` call, read by every pair of that restart; each step's
-centroid sum once per distinct (window, member set); the exact inertia once
-per final state up to the numbering of its clusters.
+done once per thing it depends on: each restart's stream once per arguments,
+read by every pair of that restart; each step's centroid sums as one BLAS
+product per window, of the pairs' 0/1 member rows by the window, which a
+summation-error bound checks against the row-order sums wherever a decision
+reads a centroid (see ``_mean_slack``); the product-mean inertia once per final
+state up to the numbering of its clusters, and the row-order means and exact
+inertia only for the states that bound cannot rule out of a window's best.
 ``_cluster_windows`` runs the ``ALGORITHMS`` name it is given on all windows
 of a technique in one ``_kmeans_windows`` call (for spectral, on the windows'
 embeddings), whose lockstep unit is a (window, restart) pair that carries its
@@ -44,12 +47,13 @@ difference-form distance, in k-means, in ``rbf_affinity`` and in the inertia
 of ``cluster_scalar_feature``, comes from ``_sq_dists``: (restarts, rows, d)
 blocks of bounded size, each distance one sum over its row's d contiguous
 values, so it equals the one-centroid value bit for bit. Only
-``inertia_history`` entries before the last (Gram-form totals) may differ in
-their last bits, as they may between BLAS builds.
+``inertia_history`` entries before the last (Gram-form totals of the product
+means) may differ in their last bits, as they may between BLAS builds.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,12 +62,13 @@ ALGORITHMS = ("spectral", "kmeans")
 LAPLACIAN_KINDS = ("unnormalized", "symmetric_normalized")
 # Restarts of one kmeans call run in lockstep groups that fit in this many
 # bytes; a group of at least one restart is always taken. At the peak of a
-# step a restart holds about n (11 k + 48) bytes (its (k, n) scores and masks
-# and a few (n,) rows), about five (k, d) centroid arrays (current, old, new
-# and the shift temporaries) and 2 KiB to spare, room for the RNG a pair
-# builds for a moment to replay its restart's stream when its seeding total
-# reaches 0 (see ``_plusplus_seeds``): 16 n (k + 4) + 48 k d + 2 KiB bounds
-# that for every k and d.
+# step a restart holds about n (11 k + 48) bytes (its (k, n) scores and masks,
+# or after them its (k, n) float member rows, and a few (n,) rows), about
+# five (k, d) centroid arrays (current, old, new and the shift temporaries)
+# and 2 KiB to spare, room for the RNG a pair builds for a moment to replay
+# its restart's stream when its seeding total reaches 0 (see
+# ``_plusplus_seeds``): 16 n (k + 4) + 48 k d + 2 KiB bounds that for every
+# k and d.
 KMEANS_GROUP_BYTES = 4 * 2**20
 # Windows clustered together (``_kmeans_windows``) share a lockstep group while
 # all their restarts fit in this many bytes at the estimate above, so small
@@ -262,15 +267,23 @@ def _gram(points, sq_norms, centers, c_norms, wins):
     return d2
 
 
-def _assign(points, sq_norms, x_norms, centroids, wins):
+def _assign(points, sq_norms, x_norms, centroids, wins, delta=0.0, exact=None):
     """Nearest-centroid labels, shape (a, n), and summed squared distances,
     shape (a,), for the (a, k, d) centroids of a pairs, pair j clustering
     window ``points[wins[j]]``, whose largest row norm is
     ``x_norms[wins[j]]``: Gram form, screened per pair, re-scored in the
     difference form where the screen cannot vouch for the argmin (see
-    ``_GRAM_SLACK``). Ties go to the first centroid."""
+    ``_GRAM_SLACK``). Ties go to the first centroid.
+
+    The labels are those of the centroids ``exact(j)`` (by default
+    ``centroids[j]``), for which ``centroids[j]`` may stand in within
+    ``delta`` (or ``delta[j]``): the band widens by twice what that can move
+    a squared distance (see ``_mean_slack``), and the rows it leaves
+    unsettled are re-scored on ``exact(j)``."""
     a, k, d = centroids.shape
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves its rows unsettled
+        # |x - c'|^2 and |x - c|^2 differ by at most 2 (R + delta) delta + delta^2, R = 2 X + delta
+        widen = 2.0 * delta * (4.0 * x_norms[wins] + 5.0 * delta)
         c_norms = (centroids * centroids).sum(axis=2)
         d2 = _gram(points, sq_norms, centroids, c_norms, wins)
         # first centroid on ties: a later one takes a row only when strictly
@@ -287,12 +300,13 @@ def _assign(points, sq_norms, x_norms, centroids, wins):
         radius = np.sqrt(c_norms.max(axis=1)) + x_norms[wins]
         # a row is settled when every entry but its minimum lies beyond the
         # band, that is its second least entry does; a nan compares false
-        unsettled = ~(second > row_min + _gram_band(d, radius)[:, None])
+        unsettled = ~(second > row_min + (_gram_band(d, radius) + widen)[:, None])
     for j in np.flatnonzero(unsettled.any(axis=1)).tolist():
         redo = np.flatnonzero(unsettled[j])
-        exact = _sq_dists(points[wins[j]][redo], centroids[j])
-        labels[j, redo] = exact.argmin(axis=0)
-        row_min[j, redo] = exact[labels[j, redo], np.arange(redo.size)]
+        own = centroids[j] if exact is None else exact(j)
+        dists = _sq_dists(points[wins[j]][redo], own)
+        labels[j, redo] = dists.argmin(axis=0)
+        row_min[j, redo] = dists[labels[j, redo], np.arange(redo.size)]
     return labels, row_min.sum(axis=1)
 
 
@@ -367,15 +381,18 @@ def _weighted_draws(weights, draws, error, exact):
     return picks, zero
 
 
+@functools.lru_cache(maxsize=1)
 def _restart_draws(seed, restarts, n, k):
-    """(restarts, k): row r holds what k-means++ seeding of n rows draws from
-    restart r's stream default_rng([seed, r]) while every total it draws
-    from is positive: ``integers(n)``, then k - 1 ``random()`` values."""
+    """(restarts, k), read-only: row r holds what k-means++ seeding of n rows
+    draws from restart r's stream default_rng([seed, r]) while every total it
+    draws from is positive: ``integers(n)``, then k - 1 ``random()`` values.
+    The last arguments' draws are kept, as every call of a study repeats them."""
     draws = np.empty((restarts, k))
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         draws[r, 0] = rng.integers(n)
         draws[r, 1:] = rng.random(k - 1)
+    draws.setflags(write=False)
     return draws
 
 
@@ -431,98 +448,198 @@ def _plusplus_seeds(points, k, draws, seeds, sq_norms, x_norms, wins):
     return _rows(points, picks, wins)
 
 
-def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms, draws):
+# Centroid sums by BLAS product. A Lloyd step sums each member set of a
+# window X as one row of M X, M holding the 0/1 member rows of the step's
+# pairs (``_member_sums``). The BLAS may add the member rows in any order,
+# where the difference form's centroids are means summed in row order
+# (``_row_means``). Each product by 0 or 1 is exact, so under any order a sum
+# of m members lies within (m - 1) u sum|x_i| of the exact sum, u = eps/2
+# (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2), and
+# the division by m adds u of the mean and at most half a subnormal step per
+# coordinate. With X the largest row norm, the two means of a member set
+# therefore lie within about n eps X of each other, and
+# delta = 2 (n + 2) eps X + tiny bounds that twice over; the spare absorbs the
+# rounding of the bounds below. Integer rows whose sums stay below 2^52 sum
+# exactly in any order: delta is 0 there and the two means are the same bits.
+# Where 2 (n + 2) X overflows a sum may overflow too, and delta is inf.
+#
+# The product means c' stand in for the row-order means c, |c' - c| <= delta,
+# and every centroid lies within delta of the rows' hull, so |c| <= X and
+# |c'| <= X + delta. Each decision the trajectory takes from its centroids is
+# either proved the same for c, or taken from c:
+# - assignment: with R = |x| + |c'| <= 2 X + delta, |x - c'|^2 and |x - c|^2
+#   differ by at most 2 (R + delta) delta + delta^2. Twice that widens the
+#   settle band of ``_assign``; a row it leaves unsettled is re-scored on c,
+#   the row-order means of the labels that made the centroids;
+# - the stop test: the shifts of c' and of c differ by at most 2 delta plus
+#   their rounding; within that of epsilon, the shift is taken from c;
+# - re-seeding reads the distances to c;
+# - the winner: a final state's inertia moves by at most n (2 R delta +
+#   delta^2), R = 2 X + delta, plus the rounding of both totals. A state whose
+#   product-mean inertia, less that bound, exceeds another's plus its bound
+#   is provably worse; the others take c and the exact inertia.
+# A bound that is not finite settles no row, sends every shift to c and keeps
+# every state.
+
+
+def _mean_slack(points, x_norm):
+    """delta of the window ``points``, whose largest row norm is ``x_norm``:
+    how far apart two sums of one member set, in different orders, may put
+    its mean (see above); 0 where every sum is exact, inf where one may
+    overflow."""
+    n, d = points.shape
+    rows = max(1, BLOCK_BYTES // (8 * d))  # tested a block at a time, in cache
+    blocks = (points[i : i + rows] for i in range(0, n, rows))
+    if n * x_norm <= 2.0**52 and all(np.array_equal(block, np.rint(block)) for block in blocks):
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(2.0 * (n + 2) * x_norm * _EPS + _TINY)
+
+
+def _member_sums(members, points, out):
+    """The sum of the rows of ``points`` that each 0/1 row of ``members``
+    selects, into ``out``: one BLAS product, in the BLAS's summation order."""
+    np.matmul(members, points, out=out)
+
+
+def _row_means(points, labels, centroids):
+    """``centroids`` with each cluster that ``labels`` fill replaced by its
+    members' mean summed in row order, as ``points[labels == c].mean(axis=0)``
+    gives it; an empty cluster keeps its row (a k-means++ center or a
+    re-seeded row, exact already)."""
+    out = centroids.copy()
+    for c in range(len(out)):
+        mask = labels == c
+        count = np.count_nonzero(mask)
+        if count:
+            np.add.reduce(points.compress(mask, axis=0), axis=0, out=out[c])
+            out[c] /= count
+    return out
+
+
+def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms, deltas, draws):
     """Lloyd iterations of the given (window, restart) pairs in lockstep.
+    Yields, for each window of the pairs in order, the (labels, centroids,
+    inertia, history) of its best restart among them, the first on ties.
 
     ``points[w]`` is window w's (n, d) array, ``sq_norms[w]`` its rows'
-    squared norms and ``x_norms[w]`` the largest row norm; ``pairs`` are
-    sorted by window. Row r of ``draws`` holds restart r's shared seeding
-    draws (``_restart_draws``), which every pair of that restart reads. Each
-    step assigns every live pair with one ``_assign`` call, one BLAS product
-    per window; each distinct (window, member mask) is then summed once, and
-    every (pair, cluster) that shares it copies the sum, which has the same
-    bits. A pair leaves when its labels repeat after a step with no re-seed,
-    when its centroids move less than ``cfg.epsilon`` (one more assignment
-    then gives its final labels) or at ``cfg.max_iters``. Yields (labels,
-    centroids, inertia, history) per pair, in order, each equal bit for bit
-    to a run of that restart alone on its window: the exact inertia is taken
-    once per distinct final state up to the numbering of its clusters.
+    squared norms, ``x_norms[w]`` the largest row norm and ``deltas[w]`` its
+    ``_mean_slack``; ``pairs`` are sorted by window. Row r of ``draws`` holds
+    restart r's shared seeding draws (``_restart_draws``), which every pair of
+    that restart reads. Each step assigns every live pair with one
+    ``_assign`` call and sums its members with one ``_member_sums`` call,
+    each one BLAS product per window. Every decision read from the product
+    means is proved or taken from the row-order means (see ``_mean_slack``),
+    so each pair follows its restart's trajectory alone on its window. A pair
+    leaves when its labels repeat after a step with no re-seed, when its
+    centroids move less than ``cfg.epsilon`` (one more assignment then gives
+    its final labels) or at ``cfg.max_iters``. The product-mean inertia is
+    taken once per distinct final state up to the numbering of its clusters;
+    only the states the bound cannot rule out take row-order means and the
+    exact inertia, so each yield equals, bit for bit, the best of its
+    window's restarts run alone.
     """
-    n, g = points[0].shape[0], len(pairs)
+    n, d = points[0].shape
+    g = len(pairs)
     wins = np.array([w for w, _ in pairs], dtype=np.intp)
     seeds = [[cfg.seed, r] for _, r in pairs]
     centroids = _plusplus_seeds(points, k, draws[[r for _, r in pairs]], seeds, sq_norms, x_norms, wins)
+    delta = deltas[wins]
+
+    def row_means(j, labels, base):  # pair j's centroids base as the row-order sums of labels give them
+        return _row_means(points[wins[j]], labels, base) if delta[j] else base
+
     histories = [[] for _ in range(g)]
-    # live pair: last labels whose means fill every centroid, or -1; left: final labels
+    # live pair: the labels whose row-order means its centroids stand for (-1
+    # before the first step: k-means++ centers); left: its final labels
     last = np.full((g, n), -1, dtype=np.intp)
+    full = np.zeros(g, dtype=bool)  # those labels fill every cluster: no centroid is a re-seeded row
+    made = {}  # left pair -> the labels its centroids stand for, where not its final labels
     stale = np.zeros(g, dtype=bool)  # centroids moved < epsilon: the next labels are final
     live = np.arange(g)
     for step in range(cfg.max_iters + 1):
-        labels, totals = _assign(points, sq_norms, x_norms, centroids[live], wins[live])
+        labels, totals = _assign(points, sq_norms, x_norms, centroids[live], wins[live], delta[live],
+                                 lambda i: row_means(live[i], last[live[i]], centroids[live[i]]))
         moving = ~stale[live] & (step < cfg.max_iters)
         for j, total in zip(live[moving].tolist(), totals[moving].tolist()):
             histories[j].append(total)
-        # the means of repeated labels are the current centroids, bit for
-        # bit: the next shift is 0 and these labels are final
-        done = ~moving | (labels == last[live]).all(axis=1)
+        # the row-order means of repeated labels are those the centroids
+        # stand for, bit for bit: the next shift is 0 and these labels are final
+        same = (labels == last[live]).all(axis=1)
+        done = ~moving | (same & full[live])
         if done.any():
+            made.update((j, last[j].copy()) for j in live[done & ~same].tolist())
             last[live[done]] = labels[done]
             live, labels = live[~done], labels[~done]
             if not live.size:
                 break
-        members = labels[:, None, :] == np.arange(k)[:, None]
+        members = np.equal(labels[:, None, :], np.arange(k)[:, None], out=np.empty((live.size, k, n)))
         counts = members.sum(axis=2)
-        old = centroids[live]
-        new = old.copy()
-        summed = {}  # (window, member mask) -> the slot that holds its sum
-        for w, masks, sums, row in zip(wins[live].tolist(), members, new, counts.tolist()):
-            x = points[w]
-            for mask, out, count in zip(masks, sums, row):
-                if count:
-                    held = summed.setdefault((w, mask.tobytes()), out)
-                    if held is out:
-                        np.add.reduce(x.compress(mask, axis=0), axis=0, out=out)
-                    else:
-                        out[...] = held
+        old, new = centroids[live], np.empty((live.size, k, d))
+        for w, part in _runs(wins[live]):
+            _member_sums(members[part].reshape(-1, n), points[w], new[part].reshape(-1, d))
+        del members
         filled = counts > 0
-        # sum / count: bit-equal to .mean(axis=0), without its wrapper cost;
-        # an empty cluster keeps its centroid until it is re-seeded below
+        # sum / count; an empty cluster sums to 0 and is re-seeded below
         new /= np.maximum(counts, 1)[:, :, None]
-        for i in np.flatnonzero(~filled.all(axis=1)):
+        for i in np.flatnonzero(~filled.all(axis=1)).tolist():
             # re-seed each empty cluster with the point farthest from its
             # current centroid, never reusing a point twice
-            x = points[wins[live[i]]]
-            dist_to_own = _sq_dists(x, old[i : i + 1], labels[i : i + 1])[0]
+            j = live[i]
+            x = points[wins[j]]
+            dist_to_own = _sq_dists(x, row_means(j, last[j], old[i])[None], labels[i : i + 1])[0]
             for c in np.flatnonzero(~filled[i]):
                 far = int(dist_to_own.argmax())
                 new[i, c] = x[far]
                 dist_to_own[far] = -1.0
-        last[live] = np.where(filled.all(axis=1)[:, None], labels, -1)
         shift = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
+        # within the shifts' bound of epsilon, the row-order means decide
+        with np.errstate(invalid="ignore"):
+            margin = 2.0 * delta[live] + (d + 4) * _EPS * (shift + cfg.epsilon) + np.sqrt(d * _TINY)
+            near = (delta[live] > 0) & ~(np.abs(shift - cfg.epsilon) > margin)
+        for i in np.flatnonzero(near).tolist():
+            j = live[i]
+            moved = row_means(j, labels[i], new[i]) - row_means(j, last[j], old[i])
+            shift[i] = np.sqrt((moved**2).sum(axis=1)).max()
+        last[live], full[live] = labels, filled.all(axis=1)
         centroids[live] = new
         stale[live] = shift < cfg.epsilon
     # a final state up to numbering: its clusters ranked by their first row
-    # (unused ones last, by index), its labels renumbered by rank and its
-    # centroids put in rank order. A row's distance to its own centroid does
-    # not depend on the numbering, so neither does the exact inertia
+    # (unused ones last, by index), its labels and the labels whose row-order
+    # means are its centroids renumbered by rank, and where a centroid is a
+    # re-seeded row, its centroids put in rank order. A row's distance to its
+    # own centroid does not depend on the numbering, so neither does the
+    # inertia; pairs of one state share their exact centroids and inertia
     first = np.where(last[:, None, :] == np.arange(k)[:, None], np.arange(n), n).min(axis=2) * k + np.arange(k)
     rank = (first[:, None, :] < first[:, :, None]).sum(axis=2)
     pair = np.arange(g)[:, None]
     renumbered, ordered = rank[pair, last], np.empty_like(centroids)
     ordered[pair, rank] = centroids
-    keys = [(w, renumbered[j].tobytes() + ordered[j].tobytes()) for j, w in enumerate(wins.tolist())]
     firsts = {}  # the first pair of each distinct final state
-    for j, key in enumerate(keys):
-        firsts.setdefault(key, j)
-    # exact, in the difference form's per-row values and summation order: each
-    # row of the distances is contiguous, so its sum is a lone row's
+    for j, w in enumerate(wins.tolist()):
+        remade = rank[j, made[j]].tobytes() if j in made else b""
+        reseeded = b"" if full[j] else ordered[j].tobytes()
+        firsts.setdefault((w, renumbered[j].tobytes() + remade + reseeded), j)
     rows = np.array(list(firsts.values()))
-    exact = np.empty(rows.size)
     for w, part in _runs(wins[rows]):
-        exact[part] = _sq_dists(points[w], centroids[rows[part]], last[rows[part]]).sum(axis=1)
-    inertias = dict(zip(firsts, exact.tolist()))
-    for j, key in enumerate(keys):
-        yield last[j].copy(), centroids[j].copy(), inertias[key], (*histories[j], inertias[key])
+        # in the difference form's per-row values and summation order: each
+        # row of the distances is contiguous, so its sum is a lone row's
+        x, states = points[w], rows[part]
+        inertia = _sq_dists(x, centroids[states], last[states]).sum(axis=1)
+        if deltas[w]:
+            # the states whose product-mean inertia the bound cannot rule out
+            # of the least take their row-order means and exact inertia
+            with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite keeps every state
+                bound = (n * deltas[w] * (4.0 * x_norms[w] + 3.0 * deltas[w])
+                         + 2 * (n + d + 3) * _EPS * inertia + n * (d + 3) * _TINY)
+                high = inertia + bound
+                if np.isfinite(high).all():
+                    states = states[~(inertia - bound > high.min())]
+            centroids[states] = [_row_means(x, made.get(j, last[j]), centroids[j]) for j in states.tolist()]
+            inertia = _sq_dists(x, centroids[states], last[states]).sum(axis=1)
+        best = int(inertia.argmin())
+        j, least = states[best], float(inertia[best])
+        yield last[j].copy(), centroids[j].copy(), least, (*histories[j], least)
 
 
 def _kmeans_windows(windows, k: int, cfg: KMeansConfig) -> list[ClusterAssignment]:
@@ -531,10 +648,13 @@ def _kmeans_windows(windows, k: int, cfg: KMeansConfig) -> list[ClusterAssignmen
 
     Windows whose restarts together fit in ``KMEANS_JOIN_BYTES`` share a
     group; a window too large for that runs alone, its restarts split into
-    groups that fit in ``KMEANS_GROUP_BYTES``. Each restart's seeding draws
-    are taken once per call (``_restart_draws``) for all its pairs; each pair
+    groups that fit in ``KMEANS_GROUP_BYTES``. Each window's row norms and
+    ``_mean_slack`` are taken once per call, and each restart's seeding draws
+    once per arguments (``_restart_draws``) for all its pairs; each pair
     makes the draws and follows the trajectory of its restart run alone on
-    its window, so each result equals ``kmeans`` of that window bit for bit."""
+    its window. A group yields each window's best restart among its own, and
+    a later group's replaces it only when strictly lower, so each result
+    equals ``kmeans`` of that window bit for bit."""
     windows = [_as_points(points) for points in windows]
     n, d = windows[0].shape
     if any(points.shape != (n, d) for points in windows):
@@ -543,6 +663,7 @@ def _kmeans_windows(windows, k: int, cfg: KMeansConfig) -> list[ClusterAssignmen
     with np.errstate(over="ignore"):  # an overflow sends the Gram form's rows to the difference form
         sq_norms = np.concatenate([_sq_dists(points, np.zeros((1, d))) for points in windows])
     x_norms = np.sqrt(sq_norms.max(axis=1))
+    deltas = np.array([_mean_slack(points, x_norm) for points, x_norm in zip(windows, x_norms)])
     restart_bytes = 16 * n * (k + 4) + 48 * k * d + 2048
     joined = max(1, KMEANS_JOIN_BYTES // (cfg.restarts * restart_bytes))
     size = max(1, KMEANS_GROUP_BYTES // restart_bytes)
@@ -552,7 +673,8 @@ def _kmeans_windows(windows, k: int, cfg: KMeansConfig) -> list[ClusterAssignmen
     best = [None] * len(windows)
     for group_windows, restarts in groups:
         pairs = [(w, r) for w in group_windows for r in restarts]
-        for (w, _), result in zip(pairs, _lloyd_group(windows, k, cfg, pairs, sq_norms, x_norms, draws)):
+        found = _lloyd_group(windows, k, cfg, pairs, sq_norms, x_norms, deltas, draws)
+        for w, result in zip(group_windows, found):
             if best[w] is None or result[2] < best[w][2]:
                 best[w] = result
     return [
@@ -570,9 +692,11 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignm
     Gram form |x|^2 - 2 x.c + |c|^2 and re-scored in the difference form
     where the rounding bound cannot settle a row (see ``_GRAM_SLACK``), so
     labels, centroids and the final inertia equal those of the difference
-    form bit for bit, exact ties going to the first centroid. Entries of
-    ``inertia_history`` before the last may carry Gram-form rounding; the
-    last is the exact ``inertia``. Non-finite points raise ``ValueError``.
+    form bit for bit, exact ties going to the first centroid; centroids are
+    summed by BLAS product and checked against the row-order sums (see
+    ``_mean_slack``), so they equal member means summed in row order. Entries
+    of ``inertia_history`` before the last may carry the rounding of both
+    forms; the last is the exact ``inertia``. Non-finite points raise ``ValueError``.
     This is ``_kmeans_windows`` with one window.
     """
     return _kmeans_windows([points], k, cfg)[0]
@@ -769,10 +893,7 @@ def cluster_scalar_feature(values, k: int) -> ClusterAssignment:
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     labels = _scalar_features(values[:, None], k)[0]
-    sizes = np.bincount(labels, minlength=k)
-    centroids = np.full((k, 1), np.nan)
-    for c in np.flatnonzero(sizes).tolist():
-        centroids[c, 0] = np.add.reduce(values[labels == c]) / sizes[c]
+    centroids = _row_means(values[:, None], labels, np.full((k, 1), np.nan))
     inertia = _sq_dists(values[:, None], centroids[None], labels[None]).sum()
     return ClusterAssignment(labels, k, centroids, float(inertia))
 

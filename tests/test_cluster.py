@@ -5,6 +5,7 @@ import itertools
 import re
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from epiclust.cluster import (
     _kmeans_windows,
     _leftmost_splits,
     _lloyd_group,
+    _mean_slack,
     _plusplus_seeds,
     _restart_draws,
+    _row_means,
     _scalar_features,
     _spectral_embedding,
     _spectral_from_affinities,
@@ -488,10 +491,12 @@ def _up_to_numbering(labels, centroids):
 
 def test_kmeans_seeds_by_gram_products_and_takes_one_inertia_pass_per_distinct_state(monkeypatch):
     # k-means++ seeding takes one Gram product per center but the last and no
-    # _sq_dists pass; besides the row norms, the inertia is one _sq_dists pass
-    # over one restart per distinct final state among all restarts, up to the
-    # numbering of its clusters: four far blobs leave no cluster empty and no
-    # row unsettled, so no re-seed or re-scoring adds a pass
+    # _sq_dists pass; besides the row norms, the product-mean inertia is one
+    # _sq_dists pass over one restart per distinct final state among all
+    # restarts, up to the numbering of its clusters, and only the state the
+    # inertia bound keeps takes row-order means and one exact pass: four far
+    # blobs leave no cluster empty, no row unsettled and no shift near
+    # epsilon, so no re-seed, re-scoring or shift check adds a pass or a mean
     rng = np.random.default_rng(5)
     pts = np.repeat(100.0 * np.arange(4), 5)[:, None] + rng.standard_normal((20, 3))
     calls, seeding = [], []
@@ -512,6 +517,7 @@ def test_kmeans_seeds_by_gram_products_and_takes_one_inertia_pass_per_distinct_s
 
     monkeypatch.setattr("epiclust.cluster._sq_dists", counted("sq_dists", _sq_dists))
     monkeypatch.setattr("epiclust.cluster._gram", counted("gram", _gram))
+    monkeypatch.setattr("epiclust.cluster._row_means", counted("row_means", _row_means))
     monkeypatch.setattr("epiclust.cluster._plusplus_seeds", seeds)
     cfg, renumbered = KMeansConfig(), 0
     for k in range(1, 5):
@@ -520,11 +526,13 @@ def test_kmeans_seeds_by_gram_products_and_takes_one_inertia_pass_per_distinct_s
         in_seeding = [name for name, inside, _ in calls if inside]
         assert in_seeding == ["gram"] * (k - 1)
         passes = [args for name, _, args in calls if name == "sq_dists"]
-        assert len(passes) == 2
+        assert len(passes) == 3
         runs = [_reference_lloyd(pts, k, cfg, np.random.default_rng([cfg.seed, r])) for r in range(cfg.restarts)]
         states = {_up_to_numbering(run[0], run[1]) for run in runs}
         assert passes[1][1].shape[0] == len(states)
         assert len(states) < cfg.restarts
+        assert passes[2][1].shape[0] == 1
+        assert [name for name, *_ in calls].count("row_means") == 1
         renumbered += len(states) < len({(run[0].tobytes(), run[1].tobytes()) for run in runs})
     assert renumbered > 0
 
@@ -732,21 +740,31 @@ def test_restarts_tying_on_inertia_keep_the_first():
 def test_restarts_sharing_final_labels_keep_their_own_inertia(monkeypatch):
     # one Lloyd step from centers 0 and 1, or from 0 and 10, ends in the same
     # final labels but at different centroids: with an infinite band every
-    # row is re-scored, and each restart keeps the inertia of its own centroids
+    # row is re-scored, each restart keeps the inertia of its own centroids,
+    # and a group of both yields the second, whose inertia is the lower
     points = np.array([[0.0], [1.0], [10.0], [11.0]])
     starts = np.array([[[0.0], [1.0]], [[0.0], [10.0]]])
-    monkeypatch.setattr("epiclust.cluster._plusplus_seeds", lambda points, k, draws, *rest: starts.copy())
+    monkeypatch.setattr(
+        "epiclust.cluster._plusplus_seeds", lambda points, k, draws, seeds, *rest: starts[[r for _, r in seeds]]
+    )
     cfg = KMeansConfig(max_iters=1, restarts=2)
     assert kmeans(points, 2, cfg).centroids.tolist() == [[0.5], [10.5]]
     monkeypatch.setattr("epiclust.cluster._GRAM_SLACK", np.inf)
     sq_norms = (points * points).sum(axis=1)
-    pairs = [(0, 0), (0, 1)]
     x_norms, draws = np.sqrt(sq_norms.max(keepdims=True)), _restart_draws(cfg.seed, 2, 4, 2)
-    results = list(_lloyd_group([points], 2, cfg, pairs, sq_norms[None], x_norms, draws))
-    assert [labels.tolist() for labels, *_ in results] == [[0, 0, 1, 1]] * 2
-    for labels, centroids, inertia, _ in results:
+    deltas = np.array([_mean_slack(points, x_norms[0])])
+
+    def group(pairs):
+        (result,) = _lloyd_group([points], 2, cfg, pairs, sq_norms[None], x_norms, deltas, draws)
+        return result
+
+    alone = [group([(0, r)]) for r in range(2)]
+    assert [labels.tolist() for labels, *_ in alone] == [[0, 0, 1, 1]] * 2
+    for labels, centroids, inertia, _ in alone:
         assert inertia == ((points - centroids[labels]) ** 2).sum(axis=1).sum()
-    assert results[0][2] > results[1][2] == 1.0
+    assert alone[0][2] > alone[1][2] == 1.0
+    both = group([(0, 0), (0, 1)])
+    assert both[1].tobytes() == alone[1][1].tobytes() and both[2] == 1.0
 
 
 def test_kmeans_gram_overflow_near_1e160_matches_the_reference():
@@ -888,6 +906,7 @@ def test_windows_with_a_zero_seeding_total_replay_their_restart_streams(monkeypa
     windows.append(rng.standard_normal((3, 3))[np.arange(20) % 3])
     cfg = KMeansConfig(restarts=10, seed=7)
     groups, started = _recorded_groups(monkeypatch), []
+    _restart_draws.cache_clear()  # the shared draws are taken here, not kept from an earlier call
     with monkeypatch.context() as m:
         real = np.random.default_rng
         m.setattr(np.random, "default_rng", lambda seed: started.append(seed) or real(seed))
@@ -910,26 +929,37 @@ def test_windows_with_a_zero_seeding_total_replay_their_restart_streams(monkeypa
 def test_restarts_sharing_member_sets_equal_each_restart_alone():
     # four far blobs: the restarts of a window reach one partition, most under
     # their own numbering, so their steps share member sets at other cluster
-    # indices and their final states are one up to numbering; each pair still
-    # yields its own restart's labels, centroids and inertia
+    # indices of one BLAS product and their final states are one up to
+    # numbering. Each restart run in a group of its own follows its reference
+    # trajectory, and the group of every restart of both windows yields each
+    # window's reference winner
     rng = np.random.default_rng(31)
     windows = [np.repeat(100.0 * np.arange(4), 10)[:, None] + rng.standard_normal((40, 3)) for _ in range(2)]
     sq_norms = np.stack([(w * w).sum(axis=1) for w in windows])
     x_norms = np.sqrt(sq_norms.max(axis=1))
+    deltas = np.array([_mean_slack(w, x_norm) for w, x_norm in zip(windows, x_norms)])
+    assert (deltas > 0).all()
     cfg = KMeansConfig(restarts=10, seed=4)
     pairs = [(w, r) for w in range(2) for r in range(cfg.restarts)]
     renumbered = 0
     for k in (2, 3, 4):
         draws = _restart_draws(cfg.seed, cfg.restarts, 40, k)
-        got = list(_lloyd_group(windows, k, cfg, pairs, sq_norms, x_norms, draws))
-        for (w, r), (labels, centroids, inertia, history) in zip(pairs, got):
-            want = _reference_lloyd(windows[w], k, cfg, np.random.default_rng([cfg.seed, r]))
+        runs = {(w, r): _reference_lloyd(windows[w], k, cfg, np.random.default_rng([cfg.seed, r])) for w, r in pairs}
+        together = list(_lloyd_group(windows, k, cfg, pairs, sq_norms, x_norms, deltas, draws))
+        assert len(together) == 2
+        for w, (labels, centroids, inertia, history) in enumerate(together):
+            got = ClusterAssignment(labels, k, centroids, inertia, inertia_history=history)
+            assert_same_as_reference(got, reference_kmeans(windows[w], k, cfg))
+        for (w, r), want in runs.items():
+            ((labels, centroids, inertia, history),) = _lloyd_group(
+                windows, k, cfg, [(w, r)], sq_norms, x_norms, deltas, draws
+            )
             assert np.array_equal(labels, want[0])
             assert centroids.tobytes() == want[1].tobytes()
             assert inertia == want[2] == history[-1]
             assert len(history) == len(want[3])
         for w in range(2):
-            states = [(labels, centroids) for (v, _), (labels, centroids, *_) in zip(pairs, got) if v == w]
+            states = [runs[w, r][:2] for r in range(cfg.restarts)]
             renumbered += len({_up_to_numbering(*state) for state in states}) < len(
                 {(labels.tobytes(), centroids.tobytes()) for labels, centroids in states}
             )
@@ -989,6 +1019,146 @@ def test_windows_sharing_a_final_state_keep_their_own_inertia():
 def test_batched_windows_must_share_a_shape():
     with pytest.raises(ValueError, match="windows differ in shape"):
         _kmeans_windows([np.zeros((5, 2)), np.zeros((6, 2))], 2, KMeansConfig())
+
+
+# --- centroid sums by BLAS product, checked against the row-order sums --------
+
+
+def _adversarial_sums(seed):
+    """A _member_sums that adds the member rows in reverse row order, then
+    moves each mean by up to delta / 2 (the window's _mean_slack) along
+    random signs: as far from the row-order mean as the two orders and the
+    move together stay within delta."""
+    rng = np.random.default_rng(seed)
+
+    def sums(members, points, out):
+        out[...] = 0.0
+        for i in range(points.shape[0] - 1, -1, -1):
+            out += members[:, i, None] * points[i]
+        delta = _mean_slack(points, np.sqrt((points * points).sum(axis=1).max()))
+        if np.isfinite(delta):
+            move = rng.choice([-1.0, 1.0], size=out.shape) * rng.uniform(0.0, 1.0, (len(out), 1))
+            out += members.sum(axis=1)[:, None] * move * (0.5 * delta / np.sqrt(points.shape[1]))
+
+    return sums
+
+
+ADVERSARIAL_FAMILIES = {
+    **ORACLE_FAMILIES,
+    # exact ties among points that are not integers, so delta is not 0
+    "half_grid_ties": lambda rng, n, d: 0.5 * rng.integers(0, 3, (n, d)),
+    "offset_1e7_half_steps": lambda rng, n, d: 1e7 + 0.5 * rng.poisson(3.0, (n, d)),
+}
+
+
+def _rescoring(monkeypatch):
+    """The pairs whose rows _assign re-scores on their row-order means, as it asks for them."""
+    asked = []
+
+    def assign(points, sq_norms, x_norms, centroids, wins, delta=0.0, exact=None):
+        counted = exact and (lambda j: asked.append(j) or exact(j))
+        return _assign(points, sq_norms, x_norms, centroids, wins, delta, counted)
+
+    monkeypatch.setattr("epiclust.cluster._assign", assign)
+    return asked
+
+
+@pytest.mark.parametrize("family", sorted(ADVERSARIAL_FAMILIES))
+def test_kmeans_matches_the_reference_whatever_order_sums_the_members(monkeypatch, family):
+    # member sums in reverse row order, each mean then moved by delta / 2: a
+    # restart's result depends neither on the summation order of its product
+    # nor on which pairs share it, in any grouping of the windows
+    monkeypatch.setattr("epiclust.cluster._member_sums", _adversarial_sums(7))
+    asked = _rescoring(monkeypatch)
+    rng = np.random.default_rng(60 + sorted(ADVERSARIAL_FAMILIES).index(family))
+    make = ADVERSARIAL_FAMILIES[family]
+    for _ in range(8):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+        pts = make(rng, n, d)
+        k = int(rng.integers(1, min(n, 6) + 1))
+        for max_iters in (2, 300):
+            cfg = KMeansConfig(max_iters=max_iters, restarts=3, seed=int(rng.integers(1000)))
+            assert_same_as_reference(kmeans(pts, k, cfg), reference_kmeans(pts, k, cfg))
+    windows = [make(rng, 20, 3) for _ in range(6)]
+    assert_windows_match(monkeypatch, windows, 3, KMeansConfig(restarts=4, seed=int(rng.integers(1000))))
+    if family in ("half_grid_ties", "offset_1e7_half_steps"):
+        assert asked  # the stand-in means left rows that only the row-order means settle
+
+
+def test_a_tie_the_product_means_break_is_re_scored_on_the_row_order_means():
+    # 0.5 is exactly as far from 0 as from 1, so it goes to the first
+    # centroid. Stand-ins delta / 2 below them put 1 nearer by about delta,
+    # far beyond the Gram band of one column: only the band widened by delta
+    # sends the row to be re-scored on the row-order means
+    points = np.arange(1001.0)[:, None] / 1000
+    sq_norms = (points * points).sum(axis=1)[None]
+    x_norms = np.sqrt(sq_norms.max(axis=1))
+    delta = _mean_slack(points, x_norms[0])
+    exact = np.array([[0.0], [1.0]])
+    stand_in, wins = (exact - delta / 2)[None], np.zeros(1, dtype=np.intp)
+    assert _assign([points], sq_norms, x_norms, stand_in, wins)[0][0, 500] == 1
+    labels, _ = _assign([points], sq_norms, x_norms, stand_in, wins, delta, lambda j: exact)
+    assert labels[0, 500] == 0
+    assert labels[0].tolist() == _reference_assign(points, exact)[0].tolist()
+
+
+def test_a_shift_at_epsilon_is_taken_from_the_row_order_means(monkeypatch):
+    # epsilon is the exact shift of one of the reference's steps, so the
+    # reference goes on there, and at the next float up it stops. Under
+    # adversarial sums the product-mean shift falls on either side; only the
+    # shift of both steps' row-order means decides as the reference does
+    monkeypatch.setattr("epiclust.cluster._member_sums", _adversarial_sums(3))
+    rng = np.random.default_rng(12)
+    checked = 0
+    for seed in range(8):
+        pts = rng.standard_normal((40, 2)) + 4.0 * rng.integers(0, 3, (40, 1))
+        cfg = KMeansConfig(restarts=1, seed=seed, epsilon=float(np.nextafter(0.0, 1.0)))
+        before = _plusplus_init(pts, 3, np.random.default_rng([seed, 0]))
+        for step in (1, 2):
+            after = _reference_lloyd(pts, 3, replace(cfg, max_iters=step), np.random.default_rng([seed, 0]))[1]
+            shift = float(np.sqrt(((after - before) ** 2).sum(axis=1)).max())
+            before = after
+            for epsilon in (shift, float(np.nextafter(shift, np.inf))) if shift > 0 else ():
+                at = replace(cfg, epsilon=epsilon)
+                assert_same_as_reference(kmeans(pts, 3, at), reference_kmeans(pts, 3, at))
+                checked += 1
+    assert checked >= 24
+
+
+def test_a_re_seed_reads_the_row_order_means(monkeypatch):
+    # fewer distinct points than k: every step empties a cluster and re-seeds
+    # it with the row farthest from its own centroid. Half-integer points
+    # tie in that distance, which the adversarial product means break
+    # either way; the row-order means keep the reference's first row
+    monkeypatch.setattr("epiclust.cluster._member_sums", _adversarial_sums(5))
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        n, d = int(rng.integers(4, 30)), int(rng.integers(1, 3))
+        distinct = 0.5 * rng.integers(-2, 3, (int(rng.integers(2, 4)), d))
+        pts = distinct[rng.integers(len(distinct), size=n)]
+        k = len(np.unique(pts, axis=0)) + int(rng.integers(1, 3))
+        cfg = KMeansConfig(restarts=2, seed=int(rng.integers(1000)))
+        assert_same_as_reference(kmeans(pts, k, cfg), reference_kmeans(pts, k, cfg))
+
+
+def test_restarts_whose_inertias_lie_within_the_bound_keep_the_first_least(monkeypatch):
+    # the corners of a square far from the origin, each taken m times:
+    # restarts split them left from right or top from bottom, two partitions
+    # of one exact inertia. A mean moved by p adds m |p|^2 to the inertia, so
+    # the adversarial product means order the two either way; the bound
+    # keeps both, their row-order means tie them, and the first restart wins
+    monkeypatch.setattr("epiclust.cluster._member_sums", _adversarial_sums(11))
+    corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    rng = np.random.default_rng(2)
+    tied = 0
+    for _ in range(20):
+        pts = 1e8 + np.tile(corners * (0.5 + rng.integers(1, 8) / 16), (int(rng.integers(1, 4)), 1))
+        cfg = KMeansConfig(restarts=10, seed=int(rng.integers(1000)))
+        runs = [_reference_lloyd(pts, 2, cfg, np.random.default_rng([cfg.seed, r])) for r in range(cfg.restarts)]
+        least = min(run[2] for run in runs)
+        tied += len({run[0].tobytes() for run in runs if run[2] == least}) > 1
+        assert_same_as_reference(kmeans(pts, 2, cfg), reference_kmeans(pts, 2, cfg))
+    assert tied > 5
 
 
 # --- affinity / laplacian / eigengap -----------------------------------------
