@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cluster import _check_k
+
 MAX_ALIGN_K = 12  # the subset DP holds 2**k partial costs per table
 METRICS = ("squared", "mismatch")
 BASELINE_MODES = ("uniform", "shuffle")
@@ -101,8 +103,7 @@ def _check_labels(a, b, k, metric):
         raise ValueError(f"label arrays differ in length: {a.size} vs {b.size}")
     if a.size == 0:
         raise ValueError("label arrays must be non-empty")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     for name, arr in (("b", b), ("a", a)):  # b first: random_baseline passes its b as both
         if arr.min() < 0 or arr.max() >= k:
             raise ValueError(f"labels of {name} must lie in [0, {k})")

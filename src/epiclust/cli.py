@@ -320,7 +320,7 @@ def _checked(kind, ok, expected):
 
 
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_nonnegative = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive = _checked(float, lambda v: 0 < v < float("inf"), "a finite number > 0")
 _fraction = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 
@@ -356,7 +356,7 @@ def _add_study_flags(p, command):
             default=",".join(ALGORITHMS) if many else "spectral",
             help=f"clustering algorithm, {listed} {', '.join(ALGORITHMS)}")
     setting(schema, "--k", type=int, default=3, help="number of clusters")
-    setting(schema, "--seed", type=_seed, default=km.seed, help="master RNG seed")
+    setting(schema, "--seed", type=_nonnegative, default=km.seed, help="master RNG seed")
     setting(schema, "--balance-threshold", type=_fraction, default=0.8,
             help="largest-cluster fraction that flags a degenerate clustering")
     if windowed:
@@ -422,12 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic planted-cluster dataset")
-    p.add_argument("--regions", type=int, default=25)
-    p.add_argument("--days", type=int, default=120)
-    p.add_argument("--k-true", dest="k_true", type=int, default=3)
-    p.add_argument("--correlated", type=int, default=4, help="cluster-correlated feature count")
-    p.add_argument("--noise", type=int, default=7, help="independent-noise feature count")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--regions", type=_count, default=25)
+    p.add_argument("--days", type=_count, default=120)
+    p.add_argument("--k-true", dest="k_true", type=_count, default=3)
+    p.add_argument("--correlated", type=_nonnegative, default=4, help="cluster-correlated feature count")
+    p.add_argument("--noise", type=_nonnegative, default=7, help="independent-noise feature count")
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_synth)
 

@@ -27,9 +27,9 @@ done once per thing it depends on: each restart's stream once per arguments,
 read by every pair of that restart; each step's centroid sums as one BLAS
 product per window, of the pairs' 0/1 member rows by the window, which a
 summation-error bound checks against the row-order sums wherever a decision
-reads a centroid (see ``_mean_slack``); the product-mean inertia once per final
-state up to the numbering of its clusters, and the row-order means and exact
-inertia only for the states that bound cannot rule out of a window's best.
+reads a centroid (see ``_mean_slack``); the row-order means and exact inertia
+once per final state up to the numbering of its clusters, so every reported
+centroid is a member mean summed in row order.
 ``_cluster_windows`` runs the ``ALGORITHMS`` name it is given on all windows
 of a technique in one ``_kmeans_windows`` call (for spectral, on the windows'
 embeddings), whose lockstep unit is a (window, restart) pair that carries its
@@ -103,7 +103,7 @@ class KMeansConfig:
             raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon!r}")
         for name, least in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            if not _integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -124,6 +124,10 @@ class SpectralConfig:
                 f"unknown laplacian kind {self.laplacian!r}; expected one of {LAPLACIAN_KINDS}"
             )
         _check_sigma(self.sigma)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _finite_positive(value) -> bool:
@@ -175,10 +179,12 @@ def _as_points(points) -> np.ndarray:
     return points
 
 
-def _check_k(k, n):
+def _check_k(k, n=None):
+    if not _integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if k > n:
+    if n is not None and k > n:
         raise ValueError(f"k={k} exceeds the {n} observations")
 
 
@@ -408,43 +414,45 @@ def _plusplus_seeds(points, k, draws, seeds, sq_norms, x_norms, wins):
     non-negative distances, so once their total is 0 it stays 0, and from
     there seeding draws ``integers(n)`` for every center left: at its first
     zero total, at index i, a pair replays ``integers(n)`` and
-    ``random(i - 1)`` on its restart's stream and takes its k - i remaining
-    centers from it; later indices leave them alone. A pair's weights are
-    its least Gram-form distances to its centers so far, one BLAS product
-    per center index and window, clamped at 0; ``_weighted_draws`` keeps a
-    draw only where the rounding bound certifies it and otherwise searches
-    the difference-form row, so every index equals the one the difference
-    form draws. Nothing reads the distances to the last center, so they are
-    taken to centers 0 .. k - 2."""
+    ``random(i - 1)`` on its restart's stream, takes its k - i remaining
+    centers from it and stops drawing: later indices take no product,
+    weights or draws for it, and seeding ends when no pair draws. A pair's
+    weights are its least Gram-form distances to its centers so far, one
+    BLAS product per center index and window, clamped at 0;
+    ``_weighted_draws`` keeps a draw only where the rounding bound certifies
+    it and otherwise searches the difference-form row, so every index equals
+    the one the difference form draws. Nothing reads the distances to the
+    last center, so they are taken to centers 0 .. k - 2."""
     n, d = points[0].shape
     picks = np.empty((len(wins), k), dtype=np.intp)
     picks[:, 0] = draws[:, 0]
-    seeded = np.zeros(len(wins), dtype=bool)  # every center picked, after a zero total
+    drawing = np.arange(len(wins))  # the pairs whose totals are still positive
     with np.errstate(over="ignore"):  # a band that overflows is inf and certifies no draw
         error = _gram_band(d, 2.0 * x_norms[wins])
 
-    def exact(rows):  # the difference-form rows of the given pairs, to centers 0 .. i - 1
-        out = np.empty((rows.size, n))
-        for w, part in _runs(wins[rows]):
-            dists = _sq_dists(points[w], points[w][picks[rows[part], :i]].reshape(-1, d))
+    def exact(rows):  # the difference-form rows of the given drawing pairs, to centers 0 .. i - 1
+        out, pairs = np.empty((rows.size, n)), drawing[rows]
+        for w, part in _runs(wins[pairs]):
+            dists = _sq_dists(points[w], points[w][picks[pairs[part], :i]].reshape(-1, d))
             out[part] = dists.reshape(-1, i, n).min(axis=1)
         return out
 
     for i in range(1, k):
-        last = picks[:, i - 1 : i]
+        own, last = wins[drawing], picks[drawing, i - 1 : i]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow certifies no draw
-            centers = _rows(points, last, wins)
-            dists = _gram(points, sq_norms, centers, sq_norms[wins[:, None], last], wins)[:, 0]
+            centers = _rows(points, last, own)
+            dists = _gram(points, sq_norms, centers, sq_norms[own[:, None], last], own)[:, 0]
             np.maximum(dists, 0.0, out=dists)
         d2 = dists if i == 1 else np.minimum(d2, dists, out=d2)
-        got, zero = _weighted_draws(d2, draws[:, i], error, exact)
-        picks[~seeded, i] = got[~seeded]
-        for j in np.flatnonzero(zero & ~seeded).tolist():
+        picks[drawing, i], zero = _weighted_draws(d2, draws[drawing, i], error[drawing], exact)
+        for j in drawing[zero].tolist():
             rng = np.random.default_rng(seeds[j])
             rng.integers(n)
             rng.random(i - 1)  # the draws its row held
             picks[j, i:] = [rng.integers(n) for _ in range(i, k)]
-        seeded |= zero
+        drawing, d2 = drawing[~zero], d2[~zero]
+        if not drawing.size:
+            break
     return _rows(points, picks, wins)
 
 
@@ -474,12 +482,8 @@ def _plusplus_seeds(points, k, draws, seeds, sq_norms, x_norms, wins):
 # - the stop test: the shifts of c' and of c differ by at most 2 delta plus
 #   their rounding; within that of epsilon, the shift is taken from c;
 # - re-seeding reads the distances to c;
-# - the winner: a final state's inertia moves by at most n (2 R delta +
-#   delta^2), R = 2 X + delta, plus the rounding of both totals. A state whose
-#   product-mean inertia, less that bound, exceeds another's plus its bound
-#   is provably worse; the others take c and the exact inertia.
-# A bound that is not finite settles no row, sends every shift to c and keeps
-# every state.
+# - the winner: every final state takes c and the exact inertia.
+# A bound that is not finite settles no row and sends every shift to c.
 
 
 def _mean_slack(points, x_norm):
@@ -533,11 +537,10 @@ def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms, deltas,
     so each pair follows its restart's trajectory alone on its window. A pair
     leaves when its labels repeat after a step with no re-seed, when its
     centroids move less than ``cfg.epsilon`` (one more assignment then gives
-    its final labels) or at ``cfg.max_iters``. The product-mean inertia is
-    taken once per distinct final state up to the numbering of its clusters;
-    only the states the bound cannot rule out take row-order means and the
-    exact inertia, so each yield equals, bit for bit, the best of its
-    window's restarts run alone.
+    its final labels) or at ``cfg.max_iters``. Each distinct final state, up
+    to the numbering of its clusters, takes its row-order means and one exact
+    inertia, so each yield equals, bit for bit, the best of its window's
+    restarts run alone.
     """
     n, d = points[0].shape
     g = len(pairs)
@@ -596,7 +599,7 @@ def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms, deltas,
         # within the shifts' bound of epsilon, the row-order means decide
         with np.errstate(invalid="ignore"):
             margin = 2.0 * delta[live] + (d + 4) * _EPS * (shift + cfg.epsilon) + np.sqrt(d * _TINY)
-            near = (delta[live] > 0) & ~(np.abs(shift - cfg.epsilon) > margin)
+            near = ~(np.abs(shift - cfg.epsilon) > margin)
         for i in np.flatnonzero(near).tolist():
             j = live[i]
             moved = row_means(j, labels[i], new[i]) - row_means(j, last[j], old[i])
@@ -621,22 +624,12 @@ def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms, deltas,
         reseeded = b"" if full[j] else ordered[j].tobytes()
         firsts.setdefault((w, renumbered[j].tobytes() + remade + reseeded), j)
     rows = np.array(list(firsts.values()))
+    centroids[rows] = [row_means(j, made.get(j, last[j]), centroids[j]) for j in rows.tolist()]
     for w, part in _runs(wins[rows]):
         # in the difference form's per-row values and summation order: each
         # row of the distances is contiguous, so its sum is a lone row's
-        x, states = points[w], rows[part]
-        inertia = _sq_dists(x, centroids[states], last[states]).sum(axis=1)
-        if deltas[w]:
-            # the states whose product-mean inertia the bound cannot rule out
-            # of the least take their row-order means and exact inertia
-            with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite keeps every state
-                bound = (n * deltas[w] * (4.0 * x_norms[w] + 3.0 * deltas[w])
-                         + 2 * (n + d + 3) * _EPS * inertia + n * (d + 3) * _TINY)
-                high = inertia + bound
-                if np.isfinite(high).all():
-                    states = states[~(inertia - bound > high.min())]
-            centroids[states] = [_row_means(x, made.get(j, last[j]), centroids[j]) for j in states.tolist()]
-            inertia = _sq_dists(x, centroids[states], last[states]).sum(axis=1)
+        states = rows[part]
+        inertia = _sq_dists(points[w], centroids[states], last[states]).sum(axis=1)
         best = int(inertia.argmin())
         j, least = states[best], float(inertia[best])
         yield last[j].copy(), centroids[j].copy(), least, (*histories[j], least)
@@ -692,9 +685,9 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignm
     Gram form |x|^2 - 2 x.c + |c|^2 and re-scored in the difference form
     where the rounding bound cannot settle a row (see ``_GRAM_SLACK``), so
     labels, centroids and the final inertia equal those of the difference
-    form bit for bit, exact ties going to the first centroid; centroids are
-    summed by BLAS product and checked against the row-order sums (see
-    ``_mean_slack``), so they equal member means summed in row order. Entries
+    form bit for bit, exact ties going to the first centroid; each step's
+    centroids are BLAS product sums checked against the row-order sums (see
+    ``_mean_slack``), and the final ones are row-order means. Entries
     of ``inertia_history`` before the last may carry the rounding of both
     forms; the last is the exact ``inertia``. Non-finite points raise ``ValueError``.
     This is ``_kmeans_windows`` with one window.

@@ -216,6 +216,8 @@ def feature_association(
     the feature (RNG keyed per (seed, window, feature) cell), so deviation
     = SM2 - SM1 measures how far above chance the agreement is.
     """
+    if len(chosen) != 2:
+        raise ValueError(f"chosen must be a (prep, algorithm) pair, got {chosen!r}")
     # chosen's one prep and one algorithm, checked as one-name lists
     (prep,), (algo,) = _check_study(m, chosen[:1], chosen[1:], k, metric, balance_threshold,
                                     window_len, prep_scope, 1)

@@ -64,6 +64,9 @@ def generate_fixture(
         raise ValueError(f"n_regions={n_regions} is below k_true={k_true}")
     if k_true < 1 or n_days < 1:
         raise ValueError("k_true and n_days must be positive")
+    if min(n_correlated, n_noise) < 0 or n_correlated + n_noise < 1:
+        raise ValueError("feature counts must be at least 0, with at least one feature; got "
+                         f"n_correlated={n_correlated}, n_noise={n_noise}")
     rng = np.random.default_rng(seed)
     planted = rng.permutation(np.arange(n_regions) % k_true)
 

@@ -41,6 +41,13 @@ def test_synth_outputs_reparse(fixture_dir):
     assert set(truth["planted_labels"]) == set(m.region_names)
 
 
+def test_synth_without_features_exits_1_writing_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["synth", "--correlated", "0", "--noise", "0", "--out", out]) == 1
+    assert "got n_correlated=0, n_noise=0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stability_file_contract(fixture_dir, tmp_path):
     code = run(["stability", "--input", fixture_dir / "epicurves.csv",
                 "--populations", fixture_dir / "populations.csv",
@@ -492,6 +499,11 @@ def test_config_values_do_not_reach_later_calls(fixture_dir, tmp_path):
         ("stability", ["--epsilon", "inf"]),
         ("associate", ["--seed", "-1"]),
         ("synth", ["--seed", "-1"]),
+        ("synth", ["--regions", "0"]),
+        ("synth", ["--days", "0"]),
+        ("synth", ["--k-true", "0"]),
+        ("synth", ["--correlated", "-2"]),
+        ("synth", ["--noise", "-1"]),
     ],
     ids=["cluster_window_len", "cluster_trials", "cluster_metric", "cluster_prep_scope",
          "cluster_baseline_mode", "cluster_heatmap", "stability_trials",
@@ -499,7 +511,8 @@ def test_config_values_do_not_reach_later_calls(fixture_dir, tmp_path):
          "associate_prep_blank", "balance_threshold_zero", "balance_threshold_above_1",
          "epsilon_zero", "epsilon_nan", "max_iters_zero", "restarts_negative",
          "window_len_zero", "trials_zero", "sigma_negative", "sigma_zero", "sigma_inf",
-         "epsilon_inf", "seed_negative", "synth_seed_negative"],
+         "epsilon_inf", "seed_negative", "synth_seed_negative", "synth_regions_zero",
+         "synth_days_zero", "synth_k_true_zero", "synth_correlated_negative", "synth_noise_negative"],
 )
 def test_usage_error_exits_2_naming_the_flag(fixture_dir, tmp_path, capsys, command, argv):
     """A flag the subcommand does not declare, or a value its type rejects."""

@@ -165,8 +165,14 @@ def test_spectral_config_rejects_bad_sigma(sigma):
         (lambda: eigengap_suggest_k([0.0, 1.0], 0), "k_max must be positive, got 0"),
         (lambda: _cluster_windows([np.zeros((3, 2))], "bogus", 2, KMeansConfig(), SpectralConfig()),
          f"unknown algorithm 'bogus'; expected one of {ALGORITHMS}"),
+        (lambda: kmeans(np.arange(6.0), 2.0), "k must be an integer, got 2.0"),
+        (lambda: kmeans(np.arange(6.0), True), "k must be an integer, got True"),
+        (lambda: spectral_cluster(np.arange(6.0), 2.5), "k must be an integer, got 2.5"),
+        (lambda: cluster_scalar_feature(np.arange(6.0), 2.0), "k must be an integer, got 2.0"),
+        (lambda: best_permutation_dissimilarity([0, 1], [1, 0], 2.0), "k must be an integer, got 2.0"),
     ],
-    ids=["unknown_laplacian", "label_out_of_range", "descending", "k_max_zero", "unknown_algorithm"],
+    ids=["unknown_laplacian", "label_out_of_range", "descending", "k_max_zero", "unknown_algorithm",
+         "kmeans_float_k", "kmeans_bool_k", "spectral_float_k", "scalar_float_k", "align_float_k"],
 )
 def test_bad_argument_raises(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -186,6 +192,10 @@ def test_laplacian_checks_its_kind_before_the_matrix(monkeypatch):
 def test_kmeans_config_accepts_numpy_scalars():
     cfg = KMeansConfig(epsilon=np.float32(1e-3), max_iters=np.int64(5), restarts=2, seed=np.int32(7))
     assert kmeans(np.arange(6.0), 2, cfg).k == 2
+    # k may be a numpy integer wherever it is taken
+    assert kmeans(np.arange(6.0), np.int64(2), cfg).k == 2
+    assert cluster_scalar_feature(np.arange(6.0), np.int32(2)).k == 2
+    assert best_permutation_dissimilarity([0, 1], [1, 0], np.int64(2)).cost == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -491,12 +501,12 @@ def _up_to_numbering(labels, centroids):
 
 def test_kmeans_seeds_by_gram_products_and_takes_one_inertia_pass_per_distinct_state(monkeypatch):
     # k-means++ seeding takes one Gram product per center but the last and no
-    # _sq_dists pass; besides the row norms, the product-mean inertia is one
+    # _sq_dists pass; besides the row norms, the exact inertia is one
     # _sq_dists pass over one restart per distinct final state among all
-    # restarts, up to the numbering of its clusters, and only the state the
-    # inertia bound keeps takes row-order means and one exact pass: four far
-    # blobs leave no cluster empty, no row unsettled and no shift near
-    # epsilon, so no re-seed, re-scoring or shift check adds a pass or a mean
+    # restarts, up to the numbering of its clusters, and each such state
+    # takes its row-order means once: four far blobs leave no cluster empty,
+    # no row unsettled and no shift near epsilon, so no re-seed, re-scoring
+    # or shift check adds a pass or a mean
     rng = np.random.default_rng(5)
     pts = np.repeat(100.0 * np.arange(4), 5)[:, None] + rng.standard_normal((20, 3))
     calls, seeding = [], []
@@ -526,13 +536,12 @@ def test_kmeans_seeds_by_gram_products_and_takes_one_inertia_pass_per_distinct_s
         in_seeding = [name for name, inside, _ in calls if inside]
         assert in_seeding == ["gram"] * (k - 1)
         passes = [args for name, _, args in calls if name == "sq_dists"]
-        assert len(passes) == 3
+        assert len(passes) == 2
         runs = [_reference_lloyd(pts, k, cfg, np.random.default_rng([cfg.seed, r])) for r in range(cfg.restarts)]
         states = {_up_to_numbering(run[0], run[1]) for run in runs}
         assert passes[1][1].shape[0] == len(states)
         assert len(states) < cfg.restarts
-        assert passes[2][1].shape[0] == 1
-        assert [name for name, *_ in calls].count("row_means") == 1
+        assert [name for name, *_ in calls].count("row_means") == len(states)
         renumbered += len(states) < len({(run[0].tobytes(), run[1].tobytes()) for run in runs})
     assert renumbered > 0
 
@@ -926,6 +935,26 @@ def test_windows_with_a_zero_seeding_total_replay_their_restart_streams(monkeypa
     assert_windows_match(monkeypatch, windows, k, cfg)
 
 
+def test_seeding_stops_drawing_for_pairs_whose_centers_are_all_picked(monkeypatch):
+    # 1000 rows at 3 distinct points, k = 8: every restart's total reaches 0
+    # at center 3, where it takes its five centers left from integers(n)
+    # draws; no later center index draws for it, so seeding ends there
+    rng = np.random.default_rng(4)
+    pts = rng.standard_normal((3, 4))[rng.integers(3, size=1000)]
+    cfg = KMeansConfig()
+    want = reference_kmeans(pts, 8, cfg)
+    zeros = []
+
+    def counted(weights, draws, error, exact):
+        picks, zero = _weighted_draws(weights, draws, error, exact)
+        zeros.append(zero.tolist())
+        return picks, zero
+
+    monkeypatch.setattr("epiclust.cluster._weighted_draws", counted)
+    assert_same_as_reference(kmeans(pts, 8, cfg), want)
+    assert zeros == [[False] * cfg.restarts] * 2 + [[True] * cfg.restarts]
+
+
 def test_restarts_sharing_member_sets_equal_each_restart_alone():
     # four far blobs: the restarts of a window reach one partition, most under
     # their own numbering, so their steps share member sets at other cluster
@@ -1141,12 +1170,12 @@ def test_a_re_seed_reads_the_row_order_means(monkeypatch):
         assert_same_as_reference(kmeans(pts, k, cfg), reference_kmeans(pts, k, cfg))
 
 
-def test_restarts_whose_inertias_lie_within_the_bound_keep_the_first_least(monkeypatch):
+def test_restarts_whose_product_means_break_a_tie_keep_the_first_least(monkeypatch):
     # the corners of a square far from the origin, each taken m times:
     # restarts split them left from right or top from bottom, two partitions
     # of one exact inertia. A mean moved by p adds m |p|^2 to the inertia, so
-    # the adversarial product means order the two either way; the bound
-    # keeps both, their row-order means tie them, and the first restart wins
+    # the adversarial product means order the two either way; their
+    # row-order means tie them, and the first restart wins
     monkeypatch.setattr("epiclust.cluster._member_sums", _adversarial_sums(11))
     corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     rng = np.random.default_rng(2)

@@ -181,6 +181,10 @@ def no_work(monkeypatch):
         ({"window_len": 0, "prep_scope": "full_series"}, "window_len must be positive, got 0"),
         ({"window_len": 200, "prep_scope": "full_series"},
          "60 days hold 0 window(s) of 200; the study needs at least"),
+        # the association's one technique, a (prep, algorithm) pair
+        ({"chosen": ("none",)}, "chosen must be a (prep, algorithm) pair, got ('none',)"),
+        ({"chosen": ("none", "kmeans", "spectral")},
+         "chosen must be a (prep, algorithm) pair, got ('none', 'kmeans', 'spectral')"),
     ],
 )
 def test_unknown_setting_raises_before_clustering(no_work, setting, message):
@@ -189,7 +193,7 @@ def test_unknown_setting_raises_before_clustering(no_work, setting, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             temporal_stability(fix.epicurves, ["none"], ["kmeans"], 2, **setting)
     with pytest.raises(ValueError, match=re.escape(message)):
-        feature_association(fix.epicurves, fix.features, ("none", "kmeans"), 2, **setting)
+        feature_association(fix.epicurves, fix.features, **{"chosen": ("none", "kmeans"), "k": 2, **setting})
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)

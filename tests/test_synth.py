@@ -1,6 +1,7 @@
 """Planted-cluster fixture generation and serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -76,3 +77,22 @@ def test_generate_fixture_validation():
 def test_generate_fixture_needs_positive_sizes(k_true, n_days):
     with pytest.raises(ValueError, match="^k_true and n_days must be positive$"):
         generate_fixture(3, n_days, k_true)
+
+
+@pytest.mark.parametrize("n_correlated, n_noise", [(-2, 3), (4, -1), (0, 0)])
+def test_generate_fixture_rejects_bad_feature_counts(n_correlated, n_noise):
+    message = ("feature counts must be at least 0, with at least one feature; "
+               f"got n_correlated={n_correlated}, n_noise={n_noise}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_fixture(10, 30, 2, n_correlated=n_correlated, n_noise=n_noise)
+
+
+@pytest.mark.parametrize("n_correlated, n_noise", [(0, 2), (3, 0)])
+def test_ground_truth_names_each_feature_by_its_kind(tmp_path, n_correlated, n_noise):
+    fix = generate_fixture(10, 30, 2, n_correlated=n_correlated, n_noise=n_noise)
+    assert fix.correlated_features == tuple(f"corr_{j + 1}" for j in range(n_correlated))
+    assert fix.noise_features == tuple(f"noise_{j + 1}" for j in range(n_noise))
+    assert fix.features.feature_names == fix.correlated_features + fix.noise_features
+    truth = json.loads(write_fixture(fix, tmp_path)["truth"].read_text())
+    assert truth["correlated_features"] == list(fix.correlated_features)
+    assert truth["noise_features"] == list(fix.noise_features)
