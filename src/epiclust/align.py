@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import _check_k
+from .cluster import _check_count, _check_k, _finite_positive, _integer
 
 MAX_ALIGN_K = 12  # the subset DP holds 2**k partial costs per table
 METRICS = ("squared", "mismatch")
@@ -82,17 +82,18 @@ def _check_align(k, metric):
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def _check_null(trials, mode):
-    """Raise unless the Monte Carlo null can draw ``trials`` labelings in ``mode``."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+def _check_null(trials, mode, seed):
+    """Raise unless the Monte Carlo null can draw ``trials`` labelings in ``mode`` from ``seed``."""
+    _check_count(trials, "trials")
+    if not _integer(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if mode not in BASELINE_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {BASELINE_MODES}")
 
 
 def _check_fraction(value, name):
     """Raise unless ``value`` lies in (0, 1], naming it ``name``."""
-    if not 0 < value <= 1:
+    if not (_finite_positive(value) and value <= 1):
         raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
@@ -225,7 +226,7 @@ def random_baseline(
     the population standard deviation over trials. Pass the observed cost
     as ``sm1`` to get its deviation from the null recorded alongside.
     """
-    _check_null(trials, mode)
+    _check_null(trials, mode, seed)
     b, _ = _check_labels(b, b, k, metric)
     costs = _least_costs(_null_labelings(b, k, trials, seed, mode), b, k, metric)
     mean = float(costs.mean())

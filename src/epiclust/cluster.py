@@ -26,10 +26,10 @@ makes the same draws and reaches the same partition as when run alone. Work is
 done once per thing it depends on: each restart's stream once per arguments,
 read by every pair of that restart; each step's centroid sums as one BLAS
 product per window, of the pairs' 0/1 member rows by the window, which a
-summation-error bound checks against the row-order sums wherever a decision
-reads a centroid (see ``_mean_slack``); the row-order means and exact inertia
-once per final state up to the numbering of its clusters, so every reported
-centroid is a member mean summed in row order.
+summation-error bound checks against the row-order sums on every window
+wherever a decision reads a centroid (see ``_mean_slack``); the row-order
+means and exact inertia once per final state up to the numbering of its
+clusters, so every reported centroid is a member mean summed in row order.
 ``_cluster_windows`` runs the ``ALGORITHMS`` name it is given on all windows
 of a technique in one ``_kmeans_windows`` call (for spectral, on the windows'
 embeddings), whose lockstep unit is a (window, restart) pair that carries its
@@ -179,11 +179,16 @@ def _as_points(points) -> np.ndarray:
     return points
 
 
+def _check_count(value, name):
+    """Raise unless ``value`` is an integer of at least 1, naming it ``name``."""
+    if not _integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def _check_k(k, n=None):
-    if not _integer(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_count(k, "k")
     if n is not None and k > n:
         raise ValueError(f"k={k} exceeds the {n} observations")
 
@@ -467,9 +472,8 @@ def _plusplus_seeds(points, k, draws, seeds, sq_norms, x_norms, wins):
 # coordinate. With X the largest row norm, the two means of a member set
 # therefore lie within about n eps X of each other, and
 # delta = 2 (n + 2) eps X + tiny bounds that twice over; the spare absorbs the
-# rounding of the bounds below. Integer rows whose sums stay below 2^52 sum
-# exactly in any order: delta is 0 there and the two means are the same bits.
-# Where 2 (n + 2) X overflows a sum may overflow too, and delta is inf.
+# rounding of the bounds below. Where 2 (n + 2) X overflows a sum may overflow
+# too, and delta is inf.
 #
 # The product means c' stand in for the row-order means c, |c' - c| <= delta,
 # and every centroid lies within delta of the rows' hull, so |c| <= X and
@@ -486,18 +490,11 @@ def _plusplus_seeds(points, k, draws, seeds, sq_norms, x_norms, wins):
 # A bound that is not finite settles no row and sends every shift to c.
 
 
-def _mean_slack(points, x_norm):
-    """delta of the window ``points``, whose largest row norm is ``x_norm``:
-    how far apart two sums of one member set, in different orders, may put
-    its mean (see above); 0 where every sum is exact, inf where one may
-    overflow."""
-    n, d = points.shape
-    rows = max(1, BLOCK_BYTES // (8 * d))  # tested a block at a time, in cache
-    blocks = (points[i : i + rows] for i in range(0, n, rows))
-    if n * x_norm <= 2.0**52 and all(np.array_equal(block, np.rint(block)) for block in blocks):
-        return 0.0
-    with np.errstate(over="ignore"):
-        return float(2.0 * (n + 2) * x_norm * _EPS + _TINY)
+def _mean_slack(n, x_norms):
+    """delta of each window of n rows whose largest row norm is the entry of
+    ``x_norms``: how far apart two sums of one member set, in different
+    orders, may put its mean (see above); inf where a sum may overflow."""
+    return 2.0 * (n + 2) * x_norms * _EPS + _TINY
 
 
 def _member_sums(members, points, out):
@@ -532,9 +529,9 @@ def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms, deltas,
     restart r's shared seeding draws (``_restart_draws``), which every pair of
     that restart reads. Each step assigns every live pair with one
     ``_assign`` call and sums its members with one ``_member_sums`` call,
-    each one BLAS product per window. Every decision read from the product
-    means is proved or taken from the row-order means (see ``_mean_slack``),
-    so each pair follows its restart's trajectory alone on its window. A pair
+    each one BLAS product per window. On every window, each decision read
+    from the product means is proved or taken from the row-order means (see
+    ``_mean_slack``), so each pair follows its restart's trajectory alone. A pair
     leaves when its labels repeat after a step with no re-seed, when its
     centroids move less than ``cfg.epsilon`` (one more assignment then gives
     its final labels) or at ``cfg.max_iters``. Each distinct final state, up
@@ -550,7 +547,7 @@ def _lloyd_group(points, k, cfg: KMeansConfig, pairs, sq_norms, x_norms, deltas,
     delta = deltas[wins]
 
     def row_means(j, labels, base):  # pair j's centroids base as the row-order sums of labels give them
-        return _row_means(points[wins[j]], labels, base) if delta[j] else base
+        return _row_means(points[wins[j]], labels, base)
 
     histories = [[] for _ in range(g)]
     # live pair: the labels whose row-order means its centroids stand for (-1
@@ -641,8 +638,8 @@ def _kmeans_windows(windows, k: int, cfg: KMeansConfig) -> list[ClusterAssignmen
 
     Windows whose restarts together fit in ``KMEANS_JOIN_BYTES`` share a
     group; a window too large for that runs alone, its restarts split into
-    groups that fit in ``KMEANS_GROUP_BYTES``. Each window's row norms and
-    ``_mean_slack`` are taken once per call, and each restart's seeding draws
+    groups that fit in ``KMEANS_GROUP_BYTES``. The windows' row norms and
+    ``_mean_slack`` are taken in one pass per call; each restart's seeding draws
     once per arguments (``_restart_draws``) for all its pairs; each pair
     makes the draws and follows the trajectory of its restart run alone on
     its window. A group yields each window's best restart among its own, and
@@ -653,10 +650,10 @@ def _kmeans_windows(windows, k: int, cfg: KMeansConfig) -> list[ClusterAssignmen
     if any(points.shape != (n, d) for points in windows):
         raise ValueError(f"windows differ in shape: {sorted({p.shape for p in windows})}")
     _check_k(k, n)
-    with np.errstate(over="ignore"):  # an overflow sends the Gram form's rows to the difference form
+    with np.errstate(over="ignore"):  # an overflow sends rows to the difference form; delta is inf
         sq_norms = np.concatenate([_sq_dists(points, np.zeros((1, d))) for points in windows])
-    x_norms = np.sqrt(sq_norms.max(axis=1))
-    deltas = np.array([_mean_slack(points, x_norm) for points, x_norm in zip(windows, x_norms)])
+        x_norms = np.sqrt(sq_norms.max(axis=1))
+        deltas = _mean_slack(n, x_norms)
     restart_bytes = 16 * n * (k + 4) + 48 * k * d + 2048
     joined = max(1, KMEANS_JOIN_BYTES // (cfg.restarts * restart_bytes))
     size = max(1, KMEANS_GROUP_BYTES // restart_bytes)
@@ -686,10 +683,10 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusterAssignm
     where the rounding bound cannot settle a row (see ``_GRAM_SLACK``), so
     labels, centroids and the final inertia equal those of the difference
     form bit for bit, exact ties going to the first centroid; each step's
-    centroids are BLAS product sums checked against the row-order sums (see
-    ``_mean_slack``), and the final ones are row-order means. Entries
-    of ``inertia_history`` before the last may carry the rounding of both
-    forms; the last is the exact ``inertia``. Non-finite points raise ``ValueError``.
+    centroids are BLAS product sums, checked on any input against the
+    row-order sums (see ``_mean_slack``); the final ones are row-order means.
+    Entries of ``inertia_history`` before the last may carry the rounding of
+    both forms; the last is the exact ``inertia``. Non-finite points raise ``ValueError``.
     This is ``_kmeans_windows`` with one window.
     """
     return _kmeans_windows([points], k, cfg)[0]

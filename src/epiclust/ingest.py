@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .cluster import _check_count
+
 
 class IngestError(ValueError):
     """An input table failed validation; the message names the location."""
@@ -362,8 +364,7 @@ def split_windows(m: EpicurveMatrix, window_len: int = 30) -> list[EpicurveMatri
     Each window is an EpicurveMatrix over its own dates. Trailing days that do
     not fill a whole window are dropped with a warning.
     """
-    if window_len < 1:
-        raise ValueError(f"window_len must be positive, got {window_len}")
+    _check_count(window_len, "window_len")
     if m.n_days < window_len:
         raise ValueError(
             f"series of {m.n_days} days is shorter than one window of {window_len}"

@@ -34,6 +34,7 @@ from .cluster import (
     ALGORITHMS,
     KMeansConfig,
     SpectralConfig,
+    _check_count,
     _check_k,
     _cluster_windows,
     _scalar_features,
@@ -116,8 +117,7 @@ def _check_study(m, preps, algos, k, metric, balance_threshold, window_len, prep
         raise ValueError("population normalization requires per-region populations")
     if prep_scope not in PREP_SCOPES:
         raise ValueError(f"unknown prep scope {prep_scope!r}; expected one of {PREP_SCOPES}")
-    if window_len < 1:
-        raise ValueError(f"window_len must be positive, got {window_len}")
+    _check_count(window_len, "window_len")
     if m.n_days < windows * window_len:
         raise ValueError(f"{m.n_days} days hold {m.n_days // window_len} window(s) of {window_len}; "
                          f"the study needs at least {windows}")
@@ -221,7 +221,7 @@ def feature_association(
     # chosen's one prep and one algorithm, checked as one-name lists
     (prep,), (algo,) = _check_study(m, chosen[:1], chosen[1:], k, metric, balance_threshold,
                                     window_len, prep_scope, 1)
-    _check_null(trials, baseline_mode)
+    _check_null(trials, baseline_mode, seed)
     if f.region_names != m.region_names:
         raise ValueError(
             "feature table regions are not aligned with the epicurve matrix; "

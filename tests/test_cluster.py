@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epiclust.align import best_permutation_dissimilarity
+from epiclust.align import balance_check, best_permutation_dissimilarity, random_baseline
 from epiclust.cluster import (
     ALGORITHMS,
     BLOCK_BYTES,
@@ -170,9 +170,14 @@ def test_spectral_config_rejects_bad_sigma(sigma):
         (lambda: spectral_cluster(np.arange(6.0), 2.5), "k must be an integer, got 2.5"),
         (lambda: cluster_scalar_feature(np.arange(6.0), 2.0), "k must be an integer, got 2.0"),
         (lambda: best_permutation_dissimilarity([0, 1], [1, 0], 2.0), "k must be an integer, got 2.0"),
+        (lambda: random_baseline([0, 1], 2, trials=2.0), "trials must be an integer, got 2.0"),
+        (lambda: random_baseline([0, 1], 2, trials=True), "trials must be an integer, got True"),
+        (lambda: random_baseline([0, 1], 2, seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda: balance_check([0, 1], True), "max_fraction must lie in (0, 1], got True"),
     ],
     ids=["unknown_laplacian", "label_out_of_range", "descending", "k_max_zero", "unknown_algorithm",
-         "kmeans_float_k", "kmeans_bool_k", "spectral_float_k", "scalar_float_k", "align_float_k"],
+         "kmeans_float_k", "kmeans_bool_k", "spectral_float_k", "scalar_float_k", "align_float_k",
+         "null_float_trials", "null_bool_trials", "null_negative_seed", "balance_bool_fraction"],
 )
 def test_bad_argument_raises(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -761,7 +766,7 @@ def test_restarts_sharing_final_labels_keep_their_own_inertia(monkeypatch):
     monkeypatch.setattr("epiclust.cluster._GRAM_SLACK", np.inf)
     sq_norms = (points * points).sum(axis=1)
     x_norms, draws = np.sqrt(sq_norms.max(keepdims=True)), _restart_draws(cfg.seed, 2, 4, 2)
-    deltas = np.array([_mean_slack(points, x_norms[0])])
+    deltas = _mean_slack(4, x_norms)
 
     def group(pairs):
         (result,) = _lloyd_group([points], 2, cfg, pairs, sq_norms[None], x_norms, deltas, draws)
@@ -966,7 +971,7 @@ def test_restarts_sharing_member_sets_equal_each_restart_alone():
     windows = [np.repeat(100.0 * np.arange(4), 10)[:, None] + rng.standard_normal((40, 3)) for _ in range(2)]
     sq_norms = np.stack([(w * w).sum(axis=1) for w in windows])
     x_norms = np.sqrt(sq_norms.max(axis=1))
-    deltas = np.array([_mean_slack(w, x_norm) for w, x_norm in zip(windows, x_norms)])
+    deltas = _mean_slack(40, x_norms)
     assert (deltas > 0).all()
     cfg = KMeansConfig(restarts=10, seed=4)
     pairs = [(w, r) for w in range(2) for r in range(cfg.restarts)]
@@ -1064,7 +1069,7 @@ def _adversarial_sums(seed):
         out[...] = 0.0
         for i in range(points.shape[0] - 1, -1, -1):
             out += members[:, i, None] * points[i]
-        delta = _mean_slack(points, np.sqrt((points * points).sum(axis=1).max()))
+        delta = _mean_slack(points.shape[0], np.sqrt((points * points).sum(axis=1).max()))
         if np.isfinite(delta):
             move = rng.choice([-1.0, 1.0], size=out.shape) * rng.uniform(0.0, 1.0, (len(out), 1))
             out += members.sum(axis=1)[:, None] * move * (0.5 * delta / np.sqrt(points.shape[1]))
@@ -1074,7 +1079,7 @@ def _adversarial_sums(seed):
 
 ADVERSARIAL_FAMILIES = {
     **ORACLE_FAMILIES,
-    # exact ties among points that are not integers, so delta is not 0
+    # exact ties among half-integer points, and half steps far from the origin
     "half_grid_ties": lambda rng, n, d: 0.5 * rng.integers(0, 3, (n, d)),
     "offset_1e7_half_steps": lambda rng, n, d: 1e7 + 0.5 * rng.poisson(3.0, (n, d)),
 }
@@ -1114,6 +1119,38 @@ def test_kmeans_matches_the_reference_whatever_order_sums_the_members(monkeypatc
         assert asked  # the stand-in means left rows that only the row-order means settle
 
 
+def test_integer_windows_take_the_bound_of_every_window(monkeypatch):
+    # integer rows, raw counts and grid ties, take the summation-error bound
+    # every window takes: delta is positive, and each distinct final state
+    # of a window takes its row-order means once, besides the rows _assign
+    # re-scores on them. Sums in reverse row order, each mean then moved by
+    # delta / 2, change no result in any grouping of the windows
+    fixture = generate_fixture(60, 90, 6, seed=0)
+    rng = np.random.default_rng(8)
+    cases = [
+        ([w.values for w in split_windows(fixture.epicurves, 30)], 6),
+        ([ORACLE_FAMILIES["integer_grid_ties"](rng, 40, 3) for _ in range(3)], 3),
+    ]
+    calls = []
+    monkeypatch.setattr("epiclust.cluster._row_means", lambda *args: calls.append(args) or _row_means(*args))
+    asked = _rescoring(monkeypatch)
+    cfg = KMeansConfig()
+    for windows, k in cases:
+        x_norms = np.sqrt([(w * w).sum(axis=1).max() for w in windows])
+        assert (_mean_slack(len(windows[0]), x_norms) > 0).all()
+        calls.clear()
+        asked.clear()
+        states = 0
+        for points, got in zip(windows, _kmeans_windows(windows, k, cfg)):
+            runs = [_reference_lloyd(points, k, cfg, np.random.default_rng([cfg.seed, r])) for r in range(cfg.restarts)]
+            states += len({_up_to_numbering(run[0], run[1]) for run in runs})
+            assert_same_as_reference(got, reference_kmeans(points, k, cfg))
+        assert len(calls) - len(asked) == states
+    monkeypatch.setattr("epiclust.cluster._member_sums", _adversarial_sums(13))
+    for windows, k in cases:
+        assert_windows_match(monkeypatch, windows, k, cfg)
+
+
 def test_a_tie_the_product_means_break_is_re_scored_on_the_row_order_means():
     # 0.5 is exactly as far from 0 as from 1, so it goes to the first
     # centroid. Stand-ins delta / 2 below them put 1 nearer by about delta,
@@ -1122,7 +1159,7 @@ def test_a_tie_the_product_means_break_is_re_scored_on_the_row_order_means():
     points = np.arange(1001.0)[:, None] / 1000
     sq_norms = (points * points).sum(axis=1)[None]
     x_norms = np.sqrt(sq_norms.max(axis=1))
-    delta = _mean_slack(points, x_norms[0])
+    delta = _mean_slack(1001, x_norms[0])
     exact = np.array([[0.0], [1.0]])
     stand_in, wins = (exact - delta / 2)[None], np.zeros(1, dtype=np.intp)
     assert _assign([points], sq_norms, x_norms, stand_in, wins)[0][0, 500] == 1

@@ -644,11 +644,14 @@ def test_unlocated_refusal_names_the_file(tmp_path, monkeypatch, capsys):
                                     write_csv(tmp / "pop.csv", ["region,persons", "a,100"])),
          "expected header 'region,population'"),
         (lambda tmp: split_windows(make_matrix(), 0), "window_len must be positive, got 0"),
+        (lambda tmp: split_windows(make_matrix(), 2.0), "window_len must be an integer, got 2.0"),
+        (lambda tmp: split_windows(make_matrix(), True), "window_len must be an integer, got True"),
         (lambda tmp: write_populations(make_matrix(), tmp / "pop.csv"), "matrix carries no populations"),
     ],
     ids=["values_not_2d", "name_count", "date_count", "empty", "populations_shape", "with_values_shape",
          "feature_shape", "feature_nan", "feature_duplicate_name", "feature_empty_name",
          "feature_header_duplicate", "feature_header_empty", "header_not_a_date", "population_header", "window_len_zero",
+         "window_len_float", "window_len_bool",
          "no_populations_to_write"],
 )
 def test_bad_input_raises(tmp_path, call, message):

@@ -185,6 +185,15 @@ def no_work(monkeypatch):
         ({"chosen": ("none",)}, "chosen must be a (prep, algorithm) pair, got ('none',)"),
         ({"chosen": ("none", "kmeans", "spectral")},
          "chosen must be a (prep, algorithm) pair, got ('none', 'kmeans', 'spectral')"),
+        # integer settings: a float or a bool is refused, not run or cast
+        ({"window_len": 30.0}, "window_len must be an integer, got 30.0"),
+        ({"window_len": True}, "window_len must be an integer, got True"),
+        ({"trials": 100.0}, "trials must be an integer, got 100.0"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"balance_threshold": True}, "balance_threshold must lie in (0, 1], got True"),
     ],
 )
 def test_unknown_setting_raises_before_clustering(no_work, setting, message):
